@@ -19,6 +19,7 @@ from .detectors import (
     build_rbad_model,
     build_sspbad_candidates,
     detect,
+    detect_ranks,
     normal_quantile,
     project,
     q_threshold,
@@ -51,7 +52,6 @@ from .linalg import (
     EigenDecomposition,
     center_rows,
     householder_qr,
-    matmul,
     row_variance,
     sym_eig,
 )

@@ -179,13 +179,12 @@ class _OutputSet:
         directory.mkdir(parents=True, exist_ok=True)
         self.files: list[Path] = []
 
-    def path(self, name: str) -> Path:
-        path = self.directory / name
-        self.files.append(path)
-        return path
-
     def write_text(self, name: str, text: str) -> None:
-        atomic_write_text(self.path(name), text)
+        # registered only once written: a failed write must not make
+        # discard() delete an earlier run's file of the same name
+        path = self.directory / name
+        atomic_write_text(path, text)
+        self.files.append(path)
 
     def discard(self) -> None:
         for path in self.files:
@@ -198,7 +197,9 @@ class _OutputSet:
 
     def write_echo(self, cfg: dict[str, Any]) -> None:
         entries = {key: _echo_value(value) for key, value in cfg.items() if value is not None}
-        write_config_file(entries, self.path("config.echo"))
+        path = self.directory / "config.echo"
+        write_config_file(entries, path)
+        self.files.append(path)
 
 
 def _scenario_config(cfg: dict[str, Any]) -> ScenarioConfig:
@@ -269,7 +270,6 @@ def _cmd_detect(cfg: dict[str, Any], outputs: _OutputSet) -> None:
         report = sspbad_detect(y, cfg["rank"], seed, kinds, cfg["beta"], cfg["center"])
     q_beta = report.threshold.q_beta if report.threshold is not None else float("nan")
     lines = ["snapshot,spe,q_beta,flag,label"]
-    assert labels is not None
     for j in range(report.spe.shape[0]):
         lines.append(
             f"{j},{format_float(report.spe[j])},{format_float(q_beta)},"

@@ -37,6 +37,7 @@ __all__ = [
     "q_threshold",
     "spe_per_snapshot",
     "detect",
+    "detect_ranks",
     "sspbad_select",
     "sspbad_detect",
 ]
@@ -123,6 +124,20 @@ class DetectionReport:
     @property
     def degenerate(self) -> bool:
         return self.threshold is None
+
+
+def _as_traffic(y, m: int | None = None) -> np.ndarray:
+    """Traffic as a finite float matrix with one row per link (m rows when
+    m is given); raises ValueError naming what is wrong."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        raise ValueError(f"traffic y must be 2-D (links x snapshots), got ndim={y.ndim}")
+    if m is not None and y.shape[0] != m:
+        raise ValueError(f"traffic has {y.shape[0]} rows but the model basis has {m}")
+    bad = np.count_nonzero(~np.isfinite(y))
+    if bad:
+        raise ValueError(f"traffic y has {bad} non-finite values (NaN or inf)")
+    return y
 
 
 def _check_rank(rank: int, m: int) -> None:
@@ -224,7 +239,7 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
     """Principal-component model: eigendecomposition of the covariance of
     the row-centered traffic; basis columns are all m eigenvectors and the
     captured variances are the eigenvalues."""
-    y = np.asarray(y, dtype=float)
+    y = _as_traffic(y)
     m, t = y.shape
     if t < 2:
         raise ValueError(f"need at least 2 snapshots to estimate a covariance, got {t}")
@@ -257,7 +272,7 @@ def build_rbad_model(
     The traffic is used uncentered by default; pass center=True for
     variance comparisons against the pca model.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_traffic(y)
     m, t = y.shape
     _check_rank(rank, m)
     if power_exponent < 0:
@@ -287,7 +302,7 @@ def build_sspbad_candidates(
     Candidates come back in the fixed family order regardless of the order
     of `kinds`; each family draws from its own substream of `seed`.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_traffic(y)
     m, t = y.shape
     _check_rank(rank, m)
     requested = set(EnsembleKind) if kinds is None else set(kinds)
@@ -316,14 +331,17 @@ def project(model: SubspaceModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     before projecting and folded back into y_hat, so the residual stays
     mean-free.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != model.m:
-        raise ValueError(f"traffic has {y.shape[0]} rows but the model basis has {model.m}")
+    y = _as_traffic(y, model.m)
     p = model.basis[:, : model.rank]
-    work = y - model.mean[:, None] if model.centered else y
+    work = _model_work(model, y)
     y_tilde = work - p @ (p.T @ work)
     y_hat = y - y_tilde
     return y_hat, y_tilde
+
+
+def _model_work(model: SubspaceModel, y: np.ndarray) -> np.ndarray:
+    """The traffic as the model sees it: mean-removed for centered models."""
+    return y - model.mean[:, None] if model.centered else y
 
 
 def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshold:
@@ -339,12 +357,16 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     variances = np.asarray(variances, dtype=float)
     m = variances.shape[0]
     _check_rank(rank, m)
+    if not np.isfinite(variances).all():
+        raise ValueError("variances contain non-finite values (NaN or inf)")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie strictly between 0 and 1, got {beta}")
-    if np.any(np.diff(variances) > 1e-10 * max(abs(variances[0]), 1.0)):
+    scale = max(abs(variances[0]), 1.0)
+    if np.any(np.diff(variances) > 1e-10 * scale):
         raise ValueError("variances must be sorted in descending order")
-    if np.any(variances < -1e-12):
-        raise ValueError("variances must be nonnegative up to roundoff (-1e-12)")
+    # eigenvalues of a singular covariance (t <= m) come out at -eps*lambda_1
+    if np.any(variances < -1e-12 * scale):
+        raise ValueError("variances must be nonnegative up to roundoff (-1e-12 * max(lambda_1, 1))")
     residual = np.maximum(variances[rank:], 0.0)
     theta1 = float(np.sum(residual))
     theta2 = float(np.sum(residual**2))
@@ -352,7 +374,12 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     if theta2 == 0.0:
         raise DegenerateSpectrumError("degenerate residual spectrum: no residual variance")
     h0 = 1.0 - 2.0 * theta1 * theta3 / (3.0 * theta2**2)
-    assert h0 <= 1.0 / 3.0 + 1e-9  # Cauchy-Schwarz: theta2^2 <= theta1*theta3
+    # Cauchy-Schwarz (theta2^2 <= theta1*theta3) bounds h0 by 1/3; a larger
+    # or NaN h0 means the thetas overflowed
+    if not h0 <= 1.0 / 3.0 + 1e-9:
+        raise DegenerateSpectrumError(
+            f"degenerate residual spectrum: h0 = {h0!r} breaks the Cauchy-Schwarz bound 1/3"
+        )
     if abs(h0) < 1e-12:
         raise DegenerateSpectrumError("degenerate residual spectrum: h0 is numerically zero")
     c_beta = normal_quantile(1.0 - beta)
@@ -390,8 +417,43 @@ def detect(model: SubspaceModel, y: np.ndarray, beta: float = DEFAULT_BETA) -> D
     yields a report with threshold=None and zero flags instead of an
     error.
     """
-    _, y_tilde = project(model, y)
-    spe = spe_per_snapshot(y_tilde)
+    return detect_ranks(model, y, [model.rank], beta)[0]
+
+
+def detect_ranks(
+    model: SubspaceModel, y: np.ndarray, ranks: Iterable[int], beta: float = DEFAULT_BETA
+) -> list[DetectionReport]:
+    """`detect(model.with_rank(r), y, beta)` for every r in `ranks`, in
+    order, from one projection of the traffic.
+
+    With lo and hi the smallest and largest rank, z = B[:, :hi]^T w gives
+    the residual at lo as w - B[:, :lo] z[:lo]. The basis is orthonormal,
+    so each further normal column removes its own coordinate:
+    SPE(r) = SPE(lo) - sum_{lo <= i < r} z_i^2, exact up to a roundoff of
+    order eps * SPE(lo). For a single rank this is the arithmetic of
+    `project`, bit for bit.
+    """
+    y = _as_traffic(y, model.m)
+    ranks = list(ranks)
+    if not ranks:
+        raise ValueError("ranks must be nonempty")
+    for rank in ranks:
+        _check_rank(rank, model.m)
+    lo, hi = min(ranks), max(ranks)
+    work = _model_work(model, y)
+    z = model.basis[:, :hi].T @ work
+    spe_lo = spe_per_snapshot(work - model.basis[:, :lo] @ z[:lo])
+    removed = np.cumsum(z[lo:] ** 2, axis=0)
+    reports = []
+    for rank in ranks:
+        spe = spe_lo if rank == lo else spe_lo - removed[rank - lo - 1]
+        reports.append(_threshold_report(model.with_rank(rank), spe, beta))
+    return reports
+
+
+def _threshold_report(model: SubspaceModel, spe: np.ndarray, beta: float) -> DetectionReport:
+    """Flag SPE > Q_beta; a degenerate spectrum gives threshold=None and
+    zero flags."""
     try:
         threshold = q_threshold(model.variances, model.rank, beta)
     except DegenerateSpectrumError:

@@ -23,7 +23,7 @@ from .detectors import (
     build_pca_model,
     build_rbad_model,
     build_sspbad_candidates,
-    detect,
+    detect_ranks,
     sspbad_select,
 )
 from .ensembles import EnsembleKind, SeedSpec
@@ -150,7 +150,6 @@ def variance_compare(
     candidates = build_sspbad_candidates(y, rank, seed.split(_SSPBAD_STREAM), kinds, center=True)
     columns: dict[str, np.ndarray] = {METHOD_PCA: pca.variances, METHOD_RBAD: rbad.variances}
     for model in candidates:
-        assert model.ensemble is not None
         columns[f"{METHOD_SSPBAD}-{model.ensemble.value}"] = model.variances
     reference = pca.variances[:rank]
     deviations = {
@@ -174,17 +173,20 @@ def _trial_models(
     power_exponent: int,
     kinds: Iterable[EnsembleKind] | None,
     center: bool,
-) -> dict[str, SubspaceModel | list[SubspaceModel]]:
-    """Build each requested method's full-basis model(s) once per trial;
-    rank splits are applied afterwards without re-fitting (the basis does
-    not depend on the rank)."""
-    models: dict[str, SubspaceModel | list[SubspaceModel]] = {}
+) -> dict[str, list[SubspaceModel]]:
+    """Build each requested method's full-basis model(s) once per trial
+    (one for pca and rbad, one per candidate for sspbad); rank splits are
+    applied afterwards without re-fitting (the basis does not depend on the
+    rank)."""
+    models: dict[str, list[SubspaceModel]] = {}
     if METHOD_PCA in methods:
-        models[METHOD_PCA] = build_pca_model(scenario.y, rank)
+        models[METHOD_PCA] = [build_pca_model(scenario.y, rank)]
     if METHOD_RBAD in methods:
-        models[METHOD_RBAD] = build_rbad_model(
-            scenario.y, rank, trial_seed.split(_RBAD_STREAM), power_exponent, center=center
-        )
+        models[METHOD_RBAD] = [
+            build_rbad_model(
+                scenario.y, rank, trial_seed.split(_RBAD_STREAM), power_exponent, center=center
+            )
+        ]
     if METHOD_SSPBAD in methods:
         models[METHOD_SSPBAD] = build_sspbad_candidates(
             scenario.y, rank, trial_seed.split(_SSPBAD_STREAM), kinds, center=center
@@ -209,15 +211,13 @@ def _run_trial(
     )
     rows = []
     for method in methods:
-        for rank in rank_grid:
-            fitted = models[method]
-            if method == METHOD_SSPBAD:
-                assert isinstance(fitted, list)
-                reports = [detect(c.with_rank(rank), scenario.y, beta) for c in fitted]
-                report = sspbad_select(reports)
-            else:
-                assert isinstance(fitted, SubspaceModel)
-                report = detect(fitted.with_rank(rank), scenario.y, beta)
+        # one projection per model covers the whole grid
+        per_model = [detect_ranks(model, scenario.y, rank_grid, beta) for model in models[method]]
+        if method == METHOD_SSPBAD:
+            reports = [sspbad_select(at_rank) for at_rank in zip(*per_model)]
+        else:
+            (reports,) = per_model
+        for rank, report in zip(rank_grid, reports):
             counts = score(report, scenario.labels)
             rows.append(
                 MetricRow(

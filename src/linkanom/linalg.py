@@ -1,8 +1,9 @@
-"""Dense real-matrix kernels: multiplication, Householder QR, symmetric
-eigendecomposition, row statistics.
+"""Dense real-matrix kernels: Householder QR and symmetric
+eigendecomposition (LAPACK through numpy, under a deterministic sign
+convention), row statistics.
 
-All matrices are 2-D float64 numpy arrays in row-major (C) order. Every
-function here is pure; inputs are never mutated.
+All matrices are 2-D, finite float64 numpy arrays. Every function here is
+pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "EigenDecomposition",
-    "matmul",
     "householder_qr",
     "sym_eig",
     "row_variance",
@@ -25,6 +25,8 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite values (NaN or inf)")
     return a
 
 
@@ -37,18 +39,9 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product; errors on inner-dimension mismatch."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ")
-    return a @ b
-
-
 def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization of a tall or square matrix via Householder
-    reflections.
+    """Thin QR factorization of a tall or square matrix (LAPACK geqrf,
+    Householder reflections, through numpy).
 
     Returns (q, r) with q (m x n) having orthonormal columns, r (n x n)
     upper triangular with nonnegative diagonal, and q @ r == b up to
@@ -60,32 +53,7 @@ def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:
     m, n = b.shape
     if m < n:
         raise ValueError(f"householder_qr needs rows >= cols, got shape {b.shape}")
-    r = b.copy()
-    reflectors: list[np.ndarray | None] = []
-    for k in range(n):
-        x = r[k:, k]
-        alpha = np.sqrt(np.dot(x, x))
-        if alpha == 0.0:
-            reflectors.append(None)
-            continue
-        if x[0] > 0.0:  # sign opposite x[0] avoids cancellation
-            alpha = -alpha
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.sqrt(np.dot(v, v))
-        if vnorm == 0.0:
-            reflectors.append(None)
-            continue
-        v /= vnorm
-        r[k:, k:] -= np.outer(v, 2.0 * (v @ r[k:, k:]))
-        r[k + 1 :, k] = 0.0
-        reflectors.append(v)
-    q = np.eye(m, n)
-    for k in range(n - 1, -1, -1):
-        v = reflectors[k]
-        if v is not None:
-            q[k:, :] -= np.outer(v, 2.0 * (v @ q[k:, :]))
-    r = r[:n, :]
+    q, r = np.linalg.qr(b)
     neg = np.diag(r) < 0.0
     if neg.any():
         q[:, neg] *= -1.0
@@ -93,32 +61,9 @@ def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _round_robin_rounds(n: int) -> list[np.ndarray]:
-    """Tournament schedule: each round pairs disjoint indices, all n(n-1)/2
-    pairs covered once per full cycle."""
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [
-            (min(players[i], players[m - 1 - i]), max(players[i], players[m - 1 - i]))
-            for i in range(m // 2)
-            if players[i] < n and players[m - 1 - i] < n
-        ]
-        rounds.append(np.array(pairs, dtype=np.intp))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
-
-
 def sym_eig(s, *, symmetry_tol: float = 1e-10) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi
-    rotations (round-robin ordering, rotations of each round batched).
+    """Full eigendecomposition of a symmetric matrix (LAPACK syevd through
+    numpy's eigh).
 
     Eigenvalues come back sorted descending; eigenvector columns are
     orthonormal with the first nonzero entry of each column positive, so
@@ -136,46 +81,10 @@ def sym_eig(s, *, symmetry_tol: float = 1e-10) -> EigenDecomposition:
                 f"matrix is not symmetric: max |s - s^T| = {asym:.3e} "
                 f"exceeds {symmetry_tol:.0e} * max|s|"
             )
-    a = 0.5 * (s + s.T)
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    if fro > 0.0:
-        tol = 1e-13 * fro
-        skip = tol / (4.0 * n)
-        prev_off = np.inf
-        rounds = _round_robin_rounds(n)
-        for _ in range(40):
-            off = _off_diagonal_norm(a)
-            if off <= tol or off >= prev_off:  # converged, or at roundoff floor
-                break
-            prev_off = off
-            for pairs in rounds:
-                p, q = pairs[:, 0], pairs[:, 1]
-                apq = a[p, q]
-                active = np.abs(apq) > skip
-                if not active.any():
-                    continue
-                p, q, apq = p[active], q[active], apq[active]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                rp, rq = a[p, :], a[q, :]
-                a[p, :] = c[:, None] * rp - sn[:, None] * rq
-                a[q, :] = sn[:, None] * rp + c[:, None] * rq
-                cp, cq = a[:, p], a[:, q]
-                a[:, p] = c * cp - sn * cq
-                a[:, q] = sn * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p], v[:, q]
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-            a = 0.5 * (a + a.T)
-    eigenvalues = np.diag(a).copy()
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
+    vectors = vectors[:, order]
     _fix_column_signs(vectors)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 

@@ -113,6 +113,18 @@ class TestDetect:
                      "--output", str(override)]) == 0
         assert read_config_file(override / "config.echo")["rank"] == "4"
 
+    def test_failed_rerun_keeps_earlier_report(self, scenario_dir, tmp_path, capsys):
+        out = tmp_path / "rep"
+        args = ["detect", "--input", str(scenario_dir), "--method", "pca", "--rank", "6",
+                "--output", str(out)]
+        assert main(args) == 0
+        before = (out / "report.csv").read_bytes()
+        (out / "report.csv.tmp").mkdir()  # the rerun's write of report.csv fails
+        assert main(args) == 1
+        assert "error:" in capsys.readouterr().err
+        assert (out / "report.csv").read_bytes() == before
+        assert (out / "config.echo").exists()
+
     def test_broken_input_leaves_no_partial_outputs(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0

@@ -5,6 +5,8 @@ and the candidate-selection rule."""
 import dataclasses
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from linkanom.detectors import (
     DegenerateSpectrumError,
     DetectionReport,
     ModelSummary,
+    SubspaceModel,
     build_pca_model,
     build_rbad_model,
     build_sspbad_candidates,
     detect,
+    detect_ranks,
     normal_quantile,
     project,
     q_threshold,
@@ -332,6 +336,23 @@ class TestQThreshold:
         with pytest.raises(ValueError, match="beta"):
             q_threshold([2.0, 1.0], 1, 0.0)
 
+    def test_overflowing_spectrum_is_degenerate_not_assertion(self):
+        # theta2 and theta3 overflow to inf, so h0 is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateSpectrumError, match="Cauchy-Schwarz"):
+                q_threshold([1e300, 1e200, 1e110], 1, 0.005)
+
+    def test_roundoff_negative_variances_scale_with_the_spectrum(self):
+        # a singular covariance at scale 1e6 has zero eigenvalues near -1e-10
+        th = q_threshold([1e6, 5e5, 2e5, -1e-10], 1, 0.005)
+        assert th.theta[0] == 7e5
+        with pytest.raises(ValueError, match="nonnegative"):
+            q_threshold([1e6, 5e5, 2e5, -1e-5], 1, 0.005)
+
+    def test_non_finite_variances_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            q_threshold([3.0, np.nan, 1.0], 1, 0.005)
+
 
 class TestSpe:
     def test_zero_column(self):
@@ -370,8 +391,6 @@ class TestDetect:
     def test_exact_zero_residual_spectrum_degenerates(self):
         rng = np.random.default_rng(24)
         basis = np.linalg.qr(rng.normal(size=(6, 6)))[0]
-        from linkanom.detectors import SubspaceModel
-
         model = SubspaceModel(
             basis=basis,
             variances=np.array([3.0, 2.0, 0.0, 0.0, 0.0, 0.0]),
@@ -462,3 +481,198 @@ class TestSspbadSelect:
         reports = [detect(c, y) for c in candidates]
         chosen = sspbad_detect(y, 6, seed)
         assert chosen.flag_count == max(r.flag_count for r in reports)
+
+
+REFERENCE_GRID = (8, 16, 24, 32, 48, 64)
+
+
+def _reference_models(stream):
+    sc = assemble_scenario(ScenarioConfig(seed=SeedSpec(600, stream)))
+    models = [
+        build_pca_model(sc.y, 8),
+        build_rbad_model(sc.y, 8, SeedSpec(601, stream)),
+        *build_sspbad_candidates(sc.y, 8, SeedSpec(602, stream)),
+    ]
+    return sc, models
+
+
+class TestDetectRanks:
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_matches_per_rank_detect_on_reference_scenarios(self, stream):
+        sc, models = _reference_models(stream)
+        for model in models:
+            reports = detect_ranks(model, sc.y, REFERENCE_GRID)
+            assert len(reports) == len(REFERENCE_GRID)
+            for rank, report in zip(REFERENCE_GRID, reports):
+                want = detect(model.with_rank(rank), sc.y)
+                np.testing.assert_allclose(report.spe, want.spe, rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(report.flags, want.flags)
+                assert report.threshold == want.threshold
+                assert report.model_summary == want.model_summary
+
+    def test_unsorted_duplicate_and_single_rank_grids(self):
+        rng = np.random.default_rng(40)
+        y = rng.normal(size=(12, 60))
+        model = build_rbad_model(y, 1, SeedSpec(41), center=True)
+        for grid in ([5, 2, 9, 2, 5], [7], [11, 1]):
+            reports = detect_ranks(model, y, grid)
+            assert [r.model_summary.rank for r in reports] == grid
+            # SPE(r) = SPE(lo) - ...: roundoff is absolute, on the scale of SPE(lo)
+            scale = np.max(detect(model.with_rank(min(grid)), y).spe)
+            for rank, report in zip(grid, reports):
+                want = detect(model.with_rank(rank), y)
+                np.testing.assert_allclose(report.spe, want.spe, rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_array_equal(report.flags, want.flags)
+
+    def test_grid_validation(self):
+        y = np.random.default_rng(42).normal(size=(6, 30))
+        model = build_pca_model(y, 2)
+        with pytest.raises(ValueError, match="nonempty"):
+            detect_ranks(model, y, [])
+        with pytest.raises(ValueError, match="rank"):
+            detect_ranks(model, y, [2, 6])
+        with pytest.raises(ValueError, match="rows"):
+            detect_ranks(model, y[:5], [2])
+
+    def test_degenerate_rank_gives_no_threshold(self):
+        rng = np.random.default_rng(43)
+        model = SubspaceModel(
+            basis=np.linalg.qr(rng.normal(size=(6, 6)))[0],
+            variances=np.array([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]),
+            rank=1,
+            method="pca",
+            centered=False,
+            mean=np.zeros(6),
+        )
+        live, dead = detect_ranks(model, rng.normal(size=(6, 30)), [1, 3])
+        assert live.threshold is not None
+        assert dead.degenerate
+        assert dead.flag_count == 0
+
+    def test_rank_by_rank_selection_matches_sspbad_detect(self):
+        sc = assemble_scenario(ScenarioConfig(seed=SeedSpec(603)))
+        seed = SeedSpec(604)
+        candidates = build_sspbad_candidates(sc.y, 8, seed)
+        per_candidate = [detect_ranks(c, sc.y, REFERENCE_GRID) for c in candidates]
+        for rank, at_rank in zip(REFERENCE_GRID, zip(*per_candidate)):
+            chosen = sspbad_select(at_rank)
+            want = sspbad_detect(sc.y, rank, seed)
+            assert chosen.model_summary == want.model_summary
+            np.testing.assert_array_equal(chosen.flags, want.flags)
+            np.testing.assert_allclose(chosen.spe, want.spe, rtol=1e-12, atol=0)
+
+    def test_single_rank_is_the_projection_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        y = rng.normal(2.0, 1.0, size=(14, 50))
+        for model in (build_rbad_model(y, 4, SeedSpec(45)), build_pca_model(y, 4)):
+            work = y - model.mean[:, None] if model.centered else y
+            p = model.basis[:, :4]
+            want = spe_per_snapshot(work - p @ (p.T @ work))
+            (report,) = detect_ranks(model, y, [4])
+            np.testing.assert_array_equal(report.spe, want)
+            np.testing.assert_array_equal(detect(model, y).spe, want)
+
+
+def _with_nan(y):
+    y = y.copy()
+    y[3, 7] = np.nan
+    return y
+
+
+class TestInputValidation:
+    def test_non_finite_traffic_rejected_everywhere(self):
+        y = np.random.default_rng(46).normal(size=(8, 40))
+        bad = _with_nan(y)
+        model = build_pca_model(y, 2)
+        calls = [
+            lambda: build_pca_model(bad, 2),
+            lambda: build_rbad_model(bad, 2, SeedSpec(1)),
+            lambda: build_sspbad_candidates(bad, 2, SeedSpec(1)),
+            lambda: detect(model, bad),
+            lambda: detect_ranks(model, bad, [1, 2]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+        inf = y.copy()
+        inf[0, 0] = np.inf
+        with pytest.raises(ValueError, match="1 non-finite"):
+            detect(model, inf)
+
+    def test_one_dimensional_traffic_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            build_rbad_model(np.ones(10), 1, SeedSpec(1))
+
+    def test_nan_rejected_without_asserts(self):
+        # python -O strips asserts; validation must not depend on them
+        code = (
+            "import numpy as np\n"
+            "from linkanom import build_pca_model, detect\n"
+            "y = np.random.default_rng(0).normal(size=(8, 40))\n"
+            "model = build_pca_model(y, 2)\n"
+            "y[3, 7] = np.nan\n"
+            "for call in (lambda: build_pca_model(y, 2), lambda: detect(model, y)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("non-finite") == 2
+
+
+@st.composite
+def _edge_traffic(draw):
+    """Small traffic at the edges the detectors must survive: t = 2,
+    t < m, constant rows, rank m-1 and all-zero traffic, at unit scale and
+    at a scale where the roundoff of zero eigenvalues exceeds 1e-12."""
+    m = draw(st.integers(2, 10))
+    t = draw(st.one_of(st.just(2), st.integers(2, m), st.integers(m, 3 * m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = draw(st.sampled_from([1.0, 1e3])) * rng.normal(size=(m, t))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m))
+        y[rows] = rng.normal(size=(len(rows), 1))
+    if draw(st.booleans()):
+        y[:] = 0.0
+    rank = draw(st.one_of(st.just(m - 1), st.integers(1, m - 1)))
+    return y, rank
+
+
+class TestEdgeTraffic:
+    # Invariants only: for t < m the sketch is rank-deficient and its QR
+    # completion columns are not unique, so flag counts depend on roundoff.
+    @given(_edge_traffic(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_invariants(self, traffic, seed):
+        y, rank = traffic
+        m = y.shape[0]
+        builders = [
+            lambda: [build_pca_model(y, rank)],
+            lambda: [build_rbad_model(y, rank, SeedSpec(seed))],
+            lambda: build_sspbad_candidates(y, rank, SeedSpec(seed), center=True),
+        ]
+        grid = sorted({1, rank, m - 1})
+        for build in builders:
+            try:
+                models = build()
+                runs = [[detect_ranks(model, y, grid) for model in models] for _ in range(2)]
+            except ValueError:
+                continue
+            first, again = runs
+            for model, reports, repeats in zip(models, first, again):
+                work = y - model.mean[:, None] if model.centered else y
+                energy = np.sum(work * work, axis=0)
+                for report, repeat in zip(reports, repeats):
+                    assert (report.spe >= -1e-12 * (1.0 + energy)).all()
+                    if report.threshold is None:
+                        assert report.flag_count == 0
+                    else:
+                        np.testing.assert_array_equal(
+                            report.flags, report.spe > report.threshold.q_beta
+                        )
+                    np.testing.assert_array_equal(report.spe, repeat.spe)
+                    np.testing.assert_array_equal(report.flags, repeat.flags)
