@@ -19,6 +19,7 @@ from .detectors import (
     build_rbad_model,
     build_sspbad_candidates,
     detect,
+    detect_method,
     detect_ranks,
     normal_quantile,
     project,

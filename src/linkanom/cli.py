@@ -19,17 +19,14 @@ from .detectors import (
     DEFAULT_BETA,
     DEFAULT_POWER_EXPONENT,
     METHOD_PCA,
-    METHOD_RBAD,
     METHOD_SSPBAD,
     METHODS,
-    build_pca_model,
-    build_rbad_model,
-    detect,
-    sspbad_detect,
+    detect_method,
 )
 from .ensembles import EnsembleKind, SeedSpec
 from .evaluation import sweep_rank, variance_compare
 from .storage import (
+    _scenario_writers,
     atomic_write_text,
     format_float,
     read_config_file,
@@ -37,7 +34,6 @@ from .storage import (
     read_matrix_csv,
     read_scenario,
     write_config_file,
-    write_scenario,
 )
 from .traffic import ScenarioConfig, assemble_scenario, default_anomaly_count
 
@@ -69,7 +65,6 @@ class _Field:
     parse: Callable[[str], Any]
     default: Any
     help: str
-    flag: str | None = None  # CLI flag spelling, defaults to --<name with _ -> ->
 
 
 _FIELDS = [
@@ -179,12 +174,15 @@ class _OutputSet:
         directory.mkdir(parents=True, exist_ok=True)
         self.files: list[Path] = []
 
-    def write_text(self, name: str, text: str) -> None:
+    def write(self, name: str, writer: Callable[[Path], None]) -> None:
         # registered only once written: a failed write must not make
         # discard() delete an earlier run's file of the same name
         path = self.directory / name
-        atomic_write_text(path, text)
+        writer(path)
         self.files.append(path)
+
+    def write_text(self, name: str, text: str) -> None:
+        self.write(name, lambda path: atomic_write_text(path, text))
 
     def discard(self) -> None:
         for path in self.files:
@@ -197,9 +195,7 @@ class _OutputSet:
 
     def write_echo(self, cfg: dict[str, Any]) -> None:
         entries = {key: _echo_value(value) for key, value in cfg.items() if value is not None}
-        path = self.directory / "config.echo"
-        write_config_file(entries, path)
-        self.files.append(path)
+        self.write("config.echo", lambda path: write_config_file(entries, path))
 
 
 def _scenario_config(cfg: dict[str, Any]) -> ScenarioConfig:
@@ -242,7 +238,8 @@ def _load_traffic(cfg: dict[str, Any], need_labels: bool) -> tuple[np.ndarray, n
 def _cmd_generate(cfg: dict[str, Any], outputs: _OutputSet) -> None:
     scenario_cfg = _scenario_config(cfg)
     scenario = assemble_scenario(scenario_cfg)
-    outputs.files.extend(write_scenario(scenario, outputs.directory))
+    for name, writer in _scenario_writers(scenario):
+        outputs.write(name, writer)
     outputs.write_echo(cfg)
     print(
         f"wrote scenario (m={scenario_cfg.m}, n={scenario_cfg.n}, t={scenario_cfg.t}, "
@@ -254,20 +251,13 @@ def _cmd_detect(cfg: dict[str, Any], outputs: _OutputSet) -> None:
     methods = cfg["method"] or (METHOD_PCA,)
     if len(methods) != 1:
         raise ValueError("detect takes exactly one --method")
-    method = methods[0]
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    cfg["method"] = (method,)
+    cfg["method"] = methods
+    (method,) = methods
     y, labels = _load_traffic(cfg, need_labels=True)
     seed = SeedSpec(cfg["master_seed"], cfg["stream_index"])
-    kinds = _ensemble_kinds(cfg)
-    if method == METHOD_PCA:
-        report = detect(build_pca_model(y, cfg["rank"]), y, cfg["beta"])
-    elif method == METHOD_RBAD:
-        model = build_rbad_model(y, cfg["rank"], seed, cfg["power_exponent"], cfg["center"])
-        report = detect(model, y, cfg["beta"])
-    else:
-        report = sspbad_detect(y, cfg["rank"], seed, kinds, cfg["beta"], cfg["center"])
+    (report,) = detect_method(method, y, [cfg["rank"]], seed, beta=cfg["beta"],
+                              power_exponent=cfg["power_exponent"],
+                              kinds=_ensemble_kinds(cfg), center=cfg["center"])
     q_beta = report.threshold.q_beta if report.threshold is not None else float("nan")
     lines = ["snapshot,spe,q_beta,flag,label"]
     for j in range(report.spe.shape[0]):

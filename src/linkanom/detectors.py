@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "detect_ranks",
     "sspbad_select",
     "sspbad_detect",
+    "detect_method",
 ]
 
 METHOD_PCA = "pca"
@@ -146,61 +148,12 @@ def _check_rank(rank: int, m: int) -> None:
         raise ValueError(f"rank must be in [1, m-1] = [1, {m - 1}], got {rank}")
 
 
-# Acklam's rational approximation to the standard normal quantile
-# (|relative error| < 1.15e-9), polished by one Halley step to full
-# double precision.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse CDF of the standard normal distribution, accurate to well
-    below 1e-9 for p in (0, 1)."""
+    """Inverse CDF of the standard normal distribution for p in (0, 1):
+    Wichura's AS241 through `statistics.NormalDist`, to about 1e-16."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    # Halley refinement against the exact CDF, with the error evaluated in
-    # the nearer tail to avoid cancellation
-    if x < 0.0:
-        err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    else:
-        err = (1.0 - p) - 0.5 * math.erfc(x / math.sqrt(2.0))
-    density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if density == 0.0:
-        return x
-    u = err / density
-    return x - u / (1.0 + 0.5 * x * u)
+    return NormalDist().inv_cdf(p)
 
 
 def _prepare_traffic(y: np.ndarray, center: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +324,7 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     theta1 = float(np.sum(residual))
     theta2 = float(np.sum(residual**2))
     theta3 = float(np.sum(residual**3))
-    if theta2 == 0.0:
+    if theta2**2 == 0.0:  # also for theta2 ~ 1e-160, whose square (h0's denominator) underflows
         raise DegenerateSpectrumError("degenerate residual spectrum: no residual variance")
     h0 = 1.0 - 2.0 * theta1 * theta3 / (3.0 * theta2**2)
     # Cauchy-Schwarz (theta2^2 <= theta1*theta3) bounds h0 by 1/3; a larger
@@ -490,5 +443,34 @@ def sspbad_detect(
 ) -> DetectionReport:
     """Build all candidate bases, run detection with each, return the
     selected report."""
-    candidates = build_sspbad_candidates(y, rank, seed, kinds, center)
-    return sspbad_select([detect(model, y, beta) for model in candidates])
+    return detect_method(METHOD_SSPBAD, y, [rank], seed, beta=beta, kinds=kinds, center=center)[0]
+
+
+def detect_method(
+    method: str,
+    y: np.ndarray,
+    ranks: Iterable[int],
+    seed: SeedSpec,
+    *,
+    beta: float = DEFAULT_BETA,
+    power_exponent: int = DEFAULT_POWER_EXPONENT,
+    kinds: Iterable[EnsembleKind] | None = None,
+    center: bool = False,
+) -> list[DetectionReport]:
+    """One report per rank of `ranks`, in order: build the method's models
+    once (one for pca and rbad, one per ensemble for sspbad; pca is always
+    centered and draws nothing from `seed`), run `detect_ranks` on each and
+    keep the `sspbad_select` winner rank by rank."""
+    ranks = list(ranks)
+    if not ranks:
+        raise ValueError("ranks must be nonempty")
+    if method == METHOD_PCA:
+        models = [build_pca_model(y, ranks[0])]
+    elif method == METHOD_RBAD:
+        models = [build_rbad_model(y, ranks[0], seed, power_exponent, center)]
+    elif method == METHOD_SSPBAD:
+        models = build_sspbad_candidates(y, ranks[0], seed, kinds, center)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    per_model = [detect_ranks(model, y, ranks, beta) for model in models]
+    return [sspbad_select(at_rank) for at_rank in zip(*per_model)]

@@ -19,15 +19,13 @@ from .detectors import (
     METHOD_SSPBAD,
     METHODS,
     DetectionReport,
-    SubspaceModel,
     build_pca_model,
     build_rbad_model,
     build_sspbad_candidates,
-    detect_ranks,
-    sspbad_select,
+    detect_method,
 )
 from .ensembles import EnsembleKind, SeedSpec
-from .traffic import Scenario, ScenarioConfig, assemble_scenario
+from .traffic import ScenarioConfig, assemble_scenario
 
 __all__ = [
     "ConfusionCounts",
@@ -43,8 +41,9 @@ __all__ = [
 ]
 
 # substream labels for detector randomness inside one trial (scenario
-# components use labels 0-3 of the same trial stream)
+# components use labels 0-3 of the same trial stream); pca draws nothing
 _RBAD_STREAM, _SSPBAD_STREAM = 4, 5
+_DETECTOR_STREAMS = {METHOD_RBAD: _RBAD_STREAM, METHOD_SSPBAD: _SSPBAD_STREAM}
 
 
 @dataclass(frozen=True)
@@ -165,35 +164,6 @@ def variance_compare(
     )
 
 
-def _trial_models(
-    scenario: Scenario,
-    methods: Sequence[str],
-    trial_seed: SeedSpec,
-    rank: int,
-    power_exponent: int,
-    kinds: Iterable[EnsembleKind] | None,
-    center: bool,
-) -> dict[str, list[SubspaceModel]]:
-    """Build each requested method's full-basis model(s) once per trial
-    (one for pca and rbad, one per candidate for sspbad); rank splits are
-    applied afterwards without re-fitting (the basis does not depend on the
-    rank)."""
-    models: dict[str, list[SubspaceModel]] = {}
-    if METHOD_PCA in methods:
-        models[METHOD_PCA] = [build_pca_model(scenario.y, rank)]
-    if METHOD_RBAD in methods:
-        models[METHOD_RBAD] = [
-            build_rbad_model(
-                scenario.y, rank, trial_seed.split(_RBAD_STREAM), power_exponent, center=center
-            )
-        ]
-    if METHOD_SSPBAD in methods:
-        models[METHOD_SSPBAD] = build_sspbad_candidates(
-            scenario.y, rank, trial_seed.split(_SSPBAD_STREAM), kinds, center=center
-        )
-    return models
-
-
 def _run_trial(
     cfg: ScenarioConfig,
     trial: int,
@@ -206,17 +176,11 @@ def _run_trial(
 ) -> list[MetricRow]:
     trial_seed = replace(cfg.seed, stream_index=cfg.seed.stream_index + trial)
     scenario = assemble_scenario(replace(cfg, seed=trial_seed))
-    models = _trial_models(
-        scenario, methods, trial_seed, rank_grid[0], power_exponent, kinds, center
-    )
     rows = []
     for method in methods:
-        # one projection per model covers the whole grid
-        per_model = [detect_ranks(model, scenario.y, rank_grid, beta) for model in models[method]]
-        if method == METHOD_SSPBAD:
-            reports = [sspbad_select(at_rank) for at_rank in zip(*per_model)]
-        else:
-            (reports,) = per_model
+        seed = trial_seed.split(_DETECTOR_STREAMS.get(method, _RBAD_STREAM))
+        reports = detect_method(method, scenario.y, rank_grid, seed, beta=beta,
+                                power_exponent=power_exponent, kinds=kinds, center=center)
         for rank, report in zip(rank_grid, reports):
             counts = score(report, scenario.labels)
             rows.append(

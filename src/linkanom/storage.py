@@ -8,8 +8,10 @@ finite double exactly.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -28,19 +30,24 @@ __all__ = [
     "write_config_file",
 ]
 
-SCENARIO_FILES = ("Y.csv", "R.csv", "X.csv", "A.csv", "V.csv", "labels.csv")
-
 
 def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """No output file is ever half-written: write to a sibling temp file,
-    then rename into place."""
+@contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """No output file is ever half-written: the block writes to a sibling
+    temp file, renamed into place once the block succeeds."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as handle:
+        yield handle
     os.replace(tmp, path)
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
@@ -48,8 +55,9 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got ndim={matrix.ndim}")
-    lines = (",".join(format_float(x) for x in row) for row in matrix)
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    # %.17g writes the text of format_float
+    with _atomic_open(Path(path)) as handle:
+        np.savetxt(handle, matrix, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -124,25 +132,28 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
+def _scenario_writers(scenario: Scenario) -> list[tuple[str, Callable[[Path], None]]]:
+    """File name and writer of each scenario file, in write order."""
+    matrices = (
+        ("Y.csv", scenario.y),
+        ("R.csv", scenario.routing),
+        ("X.csv", scenario.x),
+        ("A.csv", scenario.a),
+        ("V.csv", scenario.v),
+    )
+    writers = [(name, partial(write_matrix_csv, matrix)) for name, matrix in matrices]
+    return writers + [("labels.csv", partial(write_labels_csv, scenario.labels))]
+
+
 def write_scenario(scenario: Scenario, directory: str | Path) -> list[Path]:
     """Write one CSV per scenario matrix plus the label column; returns the
     created paths (config echoing is the CLI's job)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, matrix in (
-        ("Y.csv", scenario.y),
-        ("R.csv", scenario.routing),
-        ("X.csv", scenario.x),
-        ("A.csv", scenario.a),
-        ("V.csv", scenario.v),
-    ):
-        path = directory / name
-        write_matrix_csv(matrix, path)
-        written.append(path)
-    labels_path = directory / "labels.csv"
-    write_labels_csv(scenario.labels, labels_path)
-    written.append(labels_path)
+    for name, writer in _scenario_writers(scenario):
+        writer(directory / name)
+        written.append(directory / name)
     return written
 
 

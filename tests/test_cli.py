@@ -40,6 +40,13 @@ class TestGenerate:
         # round(0.001 * 10 * 30) = 0
         assert read_config_file(out / "config.echo")["anomaly_count"] == "0"
 
+    def test_failed_write_leaves_no_partial_scenario(self, tmp_path, capsys):
+        out = tmp_path / "scen"
+        (out / "R.csv.tmp").mkdir(parents=True)  # R.csv, the second file, cannot be written
+        assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["R.csv.tmp"]
+
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["generate", *SMALL_ARGS, "--output", str(a)])

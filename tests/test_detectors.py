@@ -23,6 +23,7 @@ from linkanom.detectors import (
     build_rbad_model,
     build_sspbad_candidates,
     detect,
+    detect_method,
     detect_ranks,
     normal_quantile,
     project,
@@ -300,8 +301,10 @@ class TestQThreshold:
             assert th.q_beta == pytest.approx(want, rel=1e-12)
 
     def test_all_zero_residual_errors(self):
-        with pytest.raises(DegenerateSpectrumError, match="degenerate"):
-            q_threshold([3.0, 2.0, 0.0, 0.0], 2, 0.005)
+        # at 1e-160 theta2 is nonzero but theta2**2, the h0 denominator, underflows
+        for variances, rank in (([3.0, 2.0, 0.0, 0.0], 2), ([1.0, 1e-160], 1)):
+            with pytest.raises(DegenerateSpectrumError, match="degenerate"):
+                q_threshold(variances, rank, 0.005)
 
     def test_homogeneity_in_variance_scale(self):
         variances = np.array([4.0, 2.5, 1.0, 0.5, 0.25, 0.1])
@@ -391,18 +394,20 @@ class TestDetect:
     def test_exact_zero_residual_spectrum_degenerates(self):
         rng = np.random.default_rng(24)
         basis = np.linalg.qr(rng.normal(size=(6, 6)))[0]
-        model = SubspaceModel(
-            basis=basis,
-            variances=np.array([3.0, 2.0, 0.0, 0.0, 0.0, 0.0]),
-            rank=2,
-            method="pca",
-            centered=False,
-            mean=np.zeros(6),
-        )
-        report = detect(model, rng.normal(size=(6, 30)))
-        assert report.degenerate
-        assert report.threshold is None
-        assert report.flag_count == 0
+        y = rng.normal(size=(6, 30))
+        for residual in (0.0, 1e-160):
+            model = SubspaceModel(
+                basis=basis,
+                variances=np.array([3.0, 2.0, residual, residual, residual, residual]),
+                rank=2,
+                method="pca",
+                centered=False,
+                mean=np.zeros(6),
+            )
+            report = detect(model, y)
+            assert report.degenerate
+            assert report.threshold is None
+            assert report.flag_count == 0
 
     def test_reference_scenario_produces_flags(self):
         # Monte-Carlo pilot at the reference scale put pca flag counts in
@@ -533,6 +538,10 @@ class TestDetectRanks:
             detect_ranks(model, y, [2, 6])
         with pytest.raises(ValueError, match="rows"):
             detect_ranks(model, y[:5], [2])
+        with pytest.raises(ValueError, match="nonempty"):
+            detect_method("pca", y, [], SeedSpec(1))
+        with pytest.raises(ValueError, match="unknown method 'rpca'"):
+            detect_method("rpca", y, [2], SeedSpec(1))
 
     def test_degenerate_rank_gives_no_threshold(self):
         rng = np.random.default_rng(43)
@@ -560,6 +569,25 @@ class TestDetectRanks:
             assert chosen.model_summary == want.model_summary
             np.testing.assert_array_equal(chosen.flags, want.flags)
             np.testing.assert_allclose(chosen.spe, want.spe, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_detect_method_is_build_detect_ranks_select(self, stream):
+        sc, (pca, rbad, *candidates) = _reference_models(stream)
+        per_candidate = [detect_ranks(c, sc.y, REFERENCE_GRID) for c in candidates]
+        cases = [
+            ("pca", SeedSpec(999), detect_ranks(pca, sc.y, REFERENCE_GRID)),
+            ("rbad", SeedSpec(601, stream), detect_ranks(rbad, sc.y, REFERENCE_GRID)),
+            ("sspbad", SeedSpec(602, stream),
+             [sspbad_select(at_rank) for at_rank in zip(*per_candidate)]),
+        ]
+        for method, seed, want in cases:
+            got = detect_method(method, sc.y, REFERENCE_GRID, seed)
+            assert len(got) == len(want)
+            for report, expected in zip(got, want):
+                np.testing.assert_array_equal(report.spe, expected.spe)
+                np.testing.assert_array_equal(report.flags, expected.flags)
+                assert report.threshold == expected.threshold
+                assert report.model_summary == expected.model_summary
 
     def test_single_rank_is_the_projection_bit_for_bit(self):
         rng = np.random.default_rng(44)

@@ -6,6 +6,7 @@ import pytest
 
 from linkanom.ensembles import SeedSpec
 from linkanom.storage import (
+    format_float,
     read_config_file,
     read_labels_csv,
     read_matrix_csv,
@@ -30,6 +31,13 @@ class TestMatrixCsv:
         path = tmp_path / "big.csv"
         write_matrix_csv(matrix, path)
         np.testing.assert_array_equal(read_matrix_csv(path), matrix)
+
+    def test_text_is_format_float(self, tmp_path):
+        matrix = np.array([[0.0, -0.0, 1e-5, 5e-324], [0.1, -2.5e300, 123456789.0, 1.0 / 3.0]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(matrix, path)
+        want = "".join(",".join(format_float(x) for x in row) + "\n" for row in matrix)
+        assert path.read_text() == want
 
     def test_ragged_rows_name_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
