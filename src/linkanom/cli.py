@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,14 +27,13 @@ from .detectors import (
 from .ensembles import EnsembleKind, SeedSpec
 from .evaluation import sweep_rank, variance_compare
 from .storage import (
-    _scenario_writers,
-    atomic_write_text,
-    format_float,
     read_config_file,
     read_labels_csv,
     read_matrix_csv,
     read_scenario,
     write_config_file,
+    write_scenario,
+    write_table,
 )
 from .traffic import ScenarioConfig, assemble_scenario, default_anomaly_count
 
@@ -68,13 +68,14 @@ class _Field:
 
 
 _FIELDS = [
-    _Field("m", int, 120, "link count"),
-    _Field("n", int, 240, "origin-destination flow count"),
-    _Field("t", int, 640, "snapshot count"),
-    _Field("r_true", int, 24, "true rank of the flow matrix"),
-    _Field("routing_density", float, 0.05, "probability of a flow traversing a link"),
+    _Field("m", int, ScenarioConfig.m, "link count"),
+    _Field("n", int, ScenarioConfig.n, "origin-destination flow count"),
+    _Field("t", int, ScenarioConfig.t, "snapshot count"),
+    _Field("r_true", int, ScenarioConfig.r_true, "true rank of the flow matrix"),
+    _Field("routing_density", float, ScenarioConfig.routing_density,
+           "probability of a flow traversing a link"),
     _Field("anomaly_count", int, None, "nonzero anomalies (default: round(0.001*m*t))"),
-    _Field("noise_variance", float, 0.1, "measurement-noise variance"),
+    _Field("noise_variance", float, ScenarioConfig.noise_variance, "measurement-noise variance"),
     _Field("master_seed", int, 0, "64-bit master seed"),
     _Field("stream_index", int, 0, "base stream index under the master seed"),
     _Field("method", _parse_str_list, None, "detection method(s), comma-separated"),
@@ -94,36 +95,16 @@ _FIELDS = [
 ]
 _FIELD_MAP = {field.name: field for field in _FIELDS}
 
-_SUBCOMMAND_FIELDS = {
-    "generate": ("m", "n", "t", "r_true", "routing_density", "anomaly_count",
-                 "noise_variance", "master_seed", "stream_index", "output"),
-    "detect": ("input", "y", "labels", "method", "rank", "power_exponent", "beta",
-               "ensembles", "center", "master_seed", "stream_index", "output"),
-    "sweep": ("m", "n", "t", "r_true", "routing_density", "anomaly_count",
-              "noise_variance", "master_seed", "stream_index", "method", "rank_grid",
-              "trials", "beta", "power_exponent", "ensembles", "center", "workers",
-              "output"),
-    "variances": ("input", "y", "rank", "power_exponent", "ensembles", "master_seed",
-                  "stream_index", "output"),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkanom",
         description="Randomized-subspace anomaly detection for link-traffic matrices.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "generate": "generate a synthetic traffic scenario directory",
-        "detect": "flag anomalous snapshots in a scenario",
-        "sweep": "detection rate vs. normal-subspace rank over many trials",
-        "variances": "captured-variance table for all methods on one scenario",
-    }
-    for name, fields in _SUBCOMMAND_FIELDS.items():
-        sub = subparsers.add_parser(name, help=descriptions[name])
+    for name, subcommand in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=subcommand.help)
         sub.add_argument("--config", help="flat key = value config file (flags win)")
-        for field_name in fields:
+        for field_name in subcommand.fields:
             field = _FIELD_MAP[field_name]
             flag = "--" + field_name.replace("_", "-")
             sub.add_argument(flag, dest=field_name, default=None, help=field.help, metavar="V")
@@ -132,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     """defaults < config file < explicit flags."""
-    fields = _SUBCOMMAND_FIELDS[args.subcommand]
+    fields = _SUBCOMMANDS[args.subcommand].fields
     file_values: dict[str, str] = {}
     if args.config:
         for key, value in read_config_file(args.config).items():
@@ -180,9 +161,6 @@ class _OutputSet:
         path = self.directory / name
         writer(path)
         self.files.append(path)
-
-    def write_text(self, name: str, text: str) -> None:
-        self.write(name, lambda path: atomic_write_text(path, text))
 
     def discard(self) -> None:
         for path in self.files:
@@ -238,8 +216,7 @@ def _load_traffic(cfg: dict[str, Any], need_labels: bool) -> tuple[np.ndarray, n
 def _cmd_generate(cfg: dict[str, Any], outputs: _OutputSet) -> None:
     scenario_cfg = _scenario_config(cfg)
     scenario = assemble_scenario(scenario_cfg)
-    for name, writer in _scenario_writers(scenario):
-        outputs.write(name, writer)
+    outputs.files.extend(write_scenario(scenario, outputs.directory))
     outputs.write_echo(cfg)
     print(
         f"wrote scenario (m={scenario_cfg.m}, n={scenario_cfg.n}, t={scenario_cfg.t}, "
@@ -259,13 +236,10 @@ def _cmd_detect(cfg: dict[str, Any], outputs: _OutputSet) -> None:
                               power_exponent=cfg["power_exponent"],
                               kinds=_ensemble_kinds(cfg), center=cfg["center"])
     q_beta = report.threshold.q_beta if report.threshold is not None else float("nan")
-    lines = ["snapshot,spe,q_beta,flag,label"]
-    for j in range(report.spe.shape[0]):
-        lines.append(
-            f"{j},{format_float(report.spe[j])},{format_float(q_beta)},"
-            f"{int(report.flags[j])},{int(labels[j])}"
-        )
-    outputs.write_text("report.csv", "\n".join(lines) + "\n")
+    columns = zip(report.spe.tolist(), report.flags.tolist(), labels.tolist())
+    rows = [(j, spe, q_beta, int(flag), int(label)) for j, (spe, flag, label) in enumerate(columns)]
+    header = ("snapshot", "spe", "q_beta", "flag", "label")
+    outputs.write("report.csv", partial(write_table, header, rows))
     outputs.write_echo(cfg)
     picked = f", ensemble={report.model_summary.ensemble.value}" if method == METHOD_SSPBAD else ""
     print(
@@ -290,18 +264,14 @@ def _cmd_sweep(cfg: dict[str, Any], outputs: _OutputSet) -> None:
         center=cfg["center"],
         workers=cfg["workers"],
     )
-    lines = ["method,rank,trial,detection_rate,tpr,far,flag_count"]
-    for row in rows:
-        lines.append(
-            f"{row.method},{row.rank},{row.trial},{format_float(row.detection_rate)},"
-            f"{format_float(row.tpr)},{format_float(row.far)},{row.flag_count}"
-        )
-    outputs.write_text("sweep.csv", "\n".join(lines) + "\n")
-    mean_lines = ["method,rank,mean_detection_rate,std_detection_rate"]
-    for curve in curves:
-        for rank, mean, std in zip(curve.ranks, curve.mean_detection_rate, curve.std_detection_rate):
-            mean_lines.append(f"{curve.method},{rank},{format_float(mean)},{format_float(std)}")
-    outputs.write_text("sweep_mean.csv", "\n".join(mean_lines) + "\n")
+    header = ("method", "rank", "trial", "detection_rate", "tpr", "far", "flag_count")
+    table = [(r.method, r.rank, r.trial, r.detection_rate, r.tpr, r.far, r.flag_count)
+             for r in rows]
+    outputs.write("sweep.csv", partial(write_table, header, table))
+    header = ("method", "rank", "mean_detection_rate", "std_detection_rate")
+    means = [(curve.method, *point) for curve in curves
+             for point in zip(curve.ranks, curve.mean_detection_rate, curve.std_detection_rate)]
+    outputs.write("sweep_mean.csv", partial(write_table, header, means))
     outputs.write_echo(cfg)
     print(f"wrote {len(rows)} sweep rows over {cfg['trials']} trials to {outputs.directory}")
 
@@ -311,10 +281,8 @@ def _cmd_variances(cfg: dict[str, Any], outputs: _OutputSet) -> None:
     kinds = _ensemble_kinds(cfg)
     seed = SeedSpec(cfg["master_seed"], cfg["stream_index"])
     table = variance_compare(y, cfg["rank"], seed, cfg["power_exponent"], kinds)
-    lines = ["index," + ",".join(table.methods)]
-    for i in range(table.variances.shape[0]):
-        lines.append(f"{i}," + ",".join(format_float(x) for x in table.variances[i]))
-    outputs.write_text("variances.csv", "\n".join(lines) + "\n")
+    rows = [(i, *row) for i, row in enumerate(table.variances.tolist())]
+    outputs.write("variances.csv", partial(write_table, ("index", *table.methods), rows))
     outputs.write_echo(cfg)
     worst = max(table.top_rank_deviation.items(), key=lambda item: item[1])
     print(
@@ -323,11 +291,27 @@ def _cmd_variances(cfg: dict[str, Any], outputs: _OutputSet) -> None:
     )
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "detect": _cmd_detect,
-    "sweep": _cmd_sweep,
-    "variances": _cmd_variances,
+class _Subcommand(NamedTuple):
+    run: Callable[[dict[str, Any], _OutputSet], None]
+    help: str
+    fields: tuple[str, ...]
+
+
+_SCENARIO_FIELDS = ("m", "n", "t", "r_true", "routing_density", "anomaly_count",
+                    "noise_variance", "master_seed", "stream_index")
+_SUBCOMMANDS = {
+    "generate": _Subcommand(_cmd_generate, "generate a synthetic traffic scenario directory",
+                            (*_SCENARIO_FIELDS, "output")),
+    "detect": _Subcommand(_cmd_detect, "flag anomalous snapshots in a scenario",
+                          ("input", "y", "labels", "method", "rank", "power_exponent", "beta",
+                           "ensembles", "center", "master_seed", "stream_index", "output")),
+    "sweep": _Subcommand(_cmd_sweep, "detection rate vs. normal-subspace rank over many trials",
+                         (*_SCENARIO_FIELDS, "method", "rank_grid", "trials", "beta",
+                          "power_exponent", "ensembles", "center", "workers", "output")),
+    "variances": _Subcommand(_cmd_variances,
+                             "captured-variance table for all methods on one scenario",
+                             ("input", "y", "rank", "power_exponent", "ensembles", "master_seed",
+                              "stream_index", "output")),
 }
 
 
@@ -341,7 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _COMMANDS[args.subcommand](cfg, outputs)
+        _SUBCOMMANDS[args.subcommand].run(cfg, outputs)
     except Exception as exc:
         outputs.discard()
         print(f"error: {exc}", file=sys.stderr)

@@ -87,9 +87,6 @@ class SubspaceModel:
         """Same basis and variances, different normal-subspace rank."""
         return replace(self, rank=rank)
 
-    def summary(self) -> "ModelSummary":
-        return ModelSummary(self.method, self.rank, self.ensemble, self.power_exponent)
-
 
 class ModelSummary(NamedTuple):
     method: str
@@ -198,9 +195,7 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
         raise ValueError(f"need at least 2 snapshots to estimate a covariance, got {t}")
     _check_rank(rank, m)
     centered, mu = center_rows(y)
-    cov = centered @ centered.T / (t - 1)
-    cov = 0.5 * (cov + cov.T)
-    eig = sym_eig(cov)
+    eig = sym_eig(centered @ centered.T / (t - 1))
     return SubspaceModel(
         basis=eig.eigenvectors,
         variances=eig.eigenvalues,
@@ -400,28 +395,14 @@ def detect_ranks(
     reports = []
     for rank in ranks:
         spe = spe_lo if rank == lo else spe_lo - removed[rank - lo - 1]
-        reports.append(_threshold_report(model.with_rank(rank), spe, beta))
+        try:
+            threshold = q_threshold(model.variances, rank, beta)
+        except DegenerateSpectrumError:
+            threshold = None
+        flags = np.zeros(spe.shape[0], dtype=bool) if threshold is None else spe > threshold.q_beta
+        summary = ModelSummary(model.method, rank, model.ensemble, model.power_exponent)
+        reports.append(DetectionReport(spe, threshold, flags, summary))
     return reports
-
-
-def _threshold_report(model: SubspaceModel, spe: np.ndarray, beta: float) -> DetectionReport:
-    """Flag SPE > Q_beta; a degenerate spectrum gives threshold=None and
-    zero flags."""
-    try:
-        threshold = q_threshold(model.variances, model.rank, beta)
-    except DegenerateSpectrumError:
-        return DetectionReport(
-            spe=spe,
-            threshold=None,
-            flags=np.zeros(spe.shape[0], dtype=bool),
-            model_summary=model.summary(),
-        )
-    return DetectionReport(
-        spe=spe,
-        threshold=threshold,
-        flags=spe > threshold.q_beta,
-        model_summary=model.summary(),
-    )
 
 
 def sspbad_select(reports: Sequence[DetectionReport]) -> DetectionReport:

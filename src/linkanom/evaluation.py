@@ -225,11 +225,16 @@ def sweep_rank(
     rank_grid = list(rank_grid)
     if not rank_grid:
         raise ValueError("rank_grid must be nonempty")
-    for rank in rank_grid:
+    for i, rank in enumerate(rank_grid):
         if not 1 <= rank <= cfg.m - 1:
             raise ValueError(f"rank grid values must be in [1, m-1] = [1, {cfg.m - 1}], got {rank}")
+        if rank in rank_grid[:i]:
+            raise ValueError(f"rank grid repeats rank {rank}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    kinds = None if kinds is None else list(kinds)  # every trial reads it, so no generator
 
     def run(trial: int) -> list[MetricRow]:
         return _run_trial(cfg, trial, methods, rank_grid, beta, power_exponent, kinds, center)

@@ -61,7 +61,11 @@ def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def sym_eig(s, *, symmetry_tol: float = 1e-10) -> EigenDecomposition:
+# relative asymmetry max|s - s^T| / max|s| that sym_eig accepts
+_SYMMETRY_TOL = 1e-10
+
+
+def sym_eig(s) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix (LAPACK syevd through
     numpy's eigh).
 
@@ -76,10 +80,10 @@ def sym_eig(s, *, symmetry_tol: float = 1e-10) -> EigenDecomposition:
     scale = float(np.max(np.abs(s))) if s.size else 0.0
     if scale > 0.0:
         asym = float(np.max(np.abs(s - s.T)))
-        if asym > symmetry_tol * scale:
+        if asym > _SYMMETRY_TOL * scale:
             raise ValueError(
                 f"matrix is not symmetric: max |s - s^T| = {asym:.3e} "
-                f"exceeds {symmetry_tol:.0e} * max|s|"
+                f"exceeds {_SYMMETRY_TOL:.0e} * max|s|"
             )
     eigenvalues, vectors = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-eigenvalues, kind="stable")

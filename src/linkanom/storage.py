@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .traffic import Scenario
 __all__ = [
     "format_float",
     "atomic_write_text",
+    "write_table",
     "read_matrix_csv",
     "write_matrix_csv",
     "read_labels_csv",
@@ -38,16 +38,40 @@ def format_float(x: float) -> str:
 @contextmanager
 def _atomic_open(path: Path) -> Iterator[TextIO]:
     """No output file is ever half-written: the block writes to a sibling
-    temp file, renamed into place once the block succeeds."""
+    temp file, renamed into place once the block succeeds and removed if
+    it fails."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        yield handle
-    os.replace(tmp, path)
+    handle = open(tmp, "w")
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: Path, text: str) -> None:
     with _atomic_open(path) as handle:
         handle.write(text)
+
+
+def write_table(header: Sequence[str], rows: Iterable[Sequence[object]], path: str | Path) -> None:
+    """Comma-separated table under a header line: floats through
+    `format_float`, every other value through `str`."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_float(x) if isinstance(x, float) else str(x) for x in row))
+    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+
+
+def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each nonblank line."""
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
@@ -65,25 +89,19 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
-                )
-            try:
-                values = [float(field) for field in fields]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno} contains a non-numeric field") from None
-            if not all(np.isfinite(values)):
-                raise ValueError(f"{path}: line {lineno} contains a non-finite value")
-            rows.append(values)
+    for lineno, line in _content_lines(path):
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(f"{path}: line {lineno} has {len(fields)} fields, expected {width}")
+        try:
+            values = [float(field) for field in fields]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno} contains a non-numeric field") from None
+        if not all(np.isfinite(values)):
+            raise ValueError(f"{path}: line {lineno} contains a non-finite value")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     return np.array(rows, dtype=float)
@@ -98,14 +116,10 @@ def write_labels_csv(labels: np.ndarray, path: str | Path) -> None:
 def read_labels_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
     labels = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line not in ("0", "1"):
-                raise ValueError(f"{path}: line {lineno} must be 0 or 1, got {line!r}")
-            labels.append(line == "1")
+    for lineno, line in _content_lines(path):
+        if line not in ("0", "1"):
+            raise ValueError(f"{path}: line {lineno} must be 0 or 1, got {line!r}")
+        labels.append(line == "1")
     if not labels:
         raise ValueError(f"{path}: empty labels file")
     return np.array(labels, dtype=bool)
@@ -120,40 +134,39 @@ def write_config_file(entries: Mapping[str, object], path: str | Path) -> None:
 def read_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     entries: dict[str, str] = {}
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno} is not a key = value pair")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+    for lineno, line in _content_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno} is not a key = value pair")
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
     return entries
-
-
-def _scenario_writers(scenario: Scenario) -> list[tuple[str, Callable[[Path], None]]]:
-    """File name and writer of each scenario file, in write order."""
-    matrices = (
-        ("Y.csv", scenario.y),
-        ("R.csv", scenario.routing),
-        ("X.csv", scenario.x),
-        ("A.csv", scenario.a),
-        ("V.csv", scenario.v),
-    )
-    writers = [(name, partial(write_matrix_csv, matrix)) for name, matrix in matrices]
-    return writers + [("labels.csv", partial(write_labels_csv, scenario.labels))]
 
 
 def write_scenario(scenario: Scenario, directory: str | Path) -> list[Path]:
     """Write one CSV per scenario matrix plus the label column; returns the
-    created paths (config echoing is the CLI's job)."""
+    created paths (config echoing is the CLI's job). A failed write removes
+    the files this call already wrote."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, writer in _scenario_writers(scenario):
-        writer(directory / name)
-        written.append(directory / name)
+    contents = (
+        ("Y.csv", write_matrix_csv, scenario.y),
+        ("R.csv", write_matrix_csv, scenario.routing),
+        ("X.csv", write_matrix_csv, scenario.x),
+        ("A.csv", write_matrix_csv, scenario.a),
+        ("V.csv", write_matrix_csv, scenario.v),
+        ("labels.csv", write_labels_csv, scenario.labels),
+    )
+    written: list[Path] = []
+    try:
+        for name, writer, data in contents:
+            writer(data, directory / name)
+            written.append(directory / name)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return written
 
 

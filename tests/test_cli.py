@@ -1,6 +1,7 @@
 """Command-line tests: subcommand pipelines, config-file precedence, echo
 reproducibility, and error-path cleanup."""
 
+import errno
 import subprocess
 import sys
 
@@ -46,6 +47,21 @@ class TestGenerate:
         assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert sorted(path.name for path in out.iterdir()) == ["R.csv.tmp"]
+
+    def test_failed_matrix_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        savetxt, calls = np.savetxt, []
+
+        def failing_savetxt(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:  # X.csv, the third matrix
+                raise OSError(errno.ENOSPC, "No space left on device")
+            savetxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "savetxt", failing_savetxt)
+        out = tmp_path / "scen"
+        assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkanom.detectors import DetectionReport, ModelSummary
-from linkanom.ensembles import SeedSpec
+from linkanom.ensembles import EnsembleKind, SeedSpec
 from linkanom.evaluation import (
     ConfusionCounts,
     detection_rate,
@@ -205,3 +205,14 @@ class TestSweepRank:
             sweep_rank(SMALL, ["pca"], [SMALL.m], trials=1)
         with pytest.raises(ValueError, match="trials"):
             sweep_rank(SMALL, ["pca"], [6], trials=0)
+        with pytest.raises(ValueError, match="repeats rank 6"):
+            sweep_rank(SMALL, ["pca"], [4, 6, 8, 6], trials=1)
+        for workers in (0, -5):
+            with pytest.raises(ValueError, match="workers"):
+                sweep_rank(SMALL, ["pca"], [6], trials=1, workers=workers)
+
+    def test_kinds_may_be_a_generator(self):
+        kinds = [k for k in EnsembleKind if k is not EnsembleKind.MARKOV]
+        want, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=kinds)
+        got, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=(k for k in kinds))
+        assert got == want

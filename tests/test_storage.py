@@ -1,5 +1,5 @@
 """File-format tests: bit-exact matrix round-trips, parse errors with line
-numbers, label columns, and flat config files."""
+numbers, label columns, result tables, and flat config files."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from linkanom.storage import (
     write_labels_csv,
     write_matrix_csv,
     write_scenario,
+    write_table,
 )
 from linkanom.traffic import ScenarioConfig, assemble_scenario
 
@@ -79,6 +80,18 @@ class TestLabelsCsv:
             read_labels_csv(path)
 
 
+class TestTable:
+    def test_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [("pca", 8, np.float64(0.1), float("nan"), 3), ("rbad", 16, 1.0 / 3.0, -0.0, 0)]
+        write_table(("method", "rank", "rate", "tpr", "flags"), rows, path)
+        assert path.read_text() == (
+            "method,rank,rate,tpr,flags\n"
+            "pca,8,0.10000000000000001,nan,3\n"
+            "rbad,16,0.33333333333333331,-0,0\n"
+        )
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.echo"
@@ -107,6 +120,14 @@ class TestScenarioDir:
         y, labels = read_scenario(tmp_path / "scen")
         np.testing.assert_array_equal(y, scenario.y)
         np.testing.assert_array_equal(labels, scenario.labels)
+
+    def test_failed_write_removes_earlier_files(self, tmp_path):
+        cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=4, seed=SeedSpec(1))
+        scen = tmp_path / "scen"
+        (scen / "R.csv.tmp").mkdir(parents=True)  # R.csv, the second file, cannot be written
+        with pytest.raises(OSError):
+            write_scenario(assemble_scenario(cfg), scen)
+        assert sorted(path.name for path in scen.iterdir()) == ["R.csv.tmp"]
 
     def test_label_snapshot_mismatch(self, tmp_path):
         cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=4, seed=SeedSpec(1))
