@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -27,6 +26,7 @@ from .detectors import (
 from .ensembles import EnsembleKind, SeedSpec
 from .evaluation import sweep_rank, variance_compare
 from .storage import (
+    _all_or_none,
     read_config_file,
     read_labels_csv,
     read_matrix_csv,
@@ -146,36 +146,6 @@ def _echo_value(value: Any) -> str:
     return str(value)
 
 
-class _OutputSet:
-    """Tracks files created by one run so a failure removes all of them."""
-
-    def __init__(self, directory: Path):
-        self.directory = directory
-        self.created_dir = not directory.exists()
-        directory.mkdir(parents=True, exist_ok=True)
-        self.files: list[Path] = []
-
-    def write(self, name: str, writer: Callable[[Path], None]) -> None:
-        # registered only once written: a failed write must not make
-        # discard() delete an earlier run's file of the same name
-        path = self.directory / name
-        writer(path)
-        self.files.append(path)
-
-    def discard(self) -> None:
-        for path in self.files:
-            path.unlink(missing_ok=True)
-        if self.created_dir:
-            try:
-                self.directory.rmdir()
-            except OSError:
-                pass
-
-    def write_echo(self, cfg: dict[str, Any]) -> None:
-        entries = {key: _echo_value(value) for key, value in cfg.items() if value is not None}
-        self.write("config.echo", lambda path: write_config_file(entries, path))
-
-
 def _scenario_config(cfg: dict[str, Any]) -> ScenarioConfig:
     anomaly_count = cfg["anomaly_count"]
     if anomaly_count is None:
@@ -213,18 +183,17 @@ def _load_traffic(cfg: dict[str, Any], need_labels: bool) -> tuple[np.ndarray, n
     raise ValueError("no input given: pass --input SCENARIO_DIR or --y MATRIX_CSV")
 
 
-def _cmd_generate(cfg: dict[str, Any], outputs: _OutputSet) -> None:
+def _cmd_generate(cfg: dict[str, Any], out: Path) -> None:
     scenario_cfg = _scenario_config(cfg)
     scenario = assemble_scenario(scenario_cfg)
-    outputs.files.extend(write_scenario(scenario, outputs.directory))
-    outputs.write_echo(cfg)
+    write_scenario(scenario, out)
     print(
         f"wrote scenario (m={scenario_cfg.m}, n={scenario_cfg.n}, t={scenario_cfg.t}, "
-        f"anomalies={scenario_cfg.anomaly_count}) to {outputs.directory}"
+        f"anomalies={scenario_cfg.anomaly_count}) to {out}"
     )
 
 
-def _cmd_detect(cfg: dict[str, Any], outputs: _OutputSet) -> None:
+def _cmd_detect(cfg: dict[str, Any], out: Path) -> None:
     methods = cfg["method"] or (METHOD_PCA,)
     if len(methods) != 1:
         raise ValueError("detect takes exactly one --method")
@@ -239,8 +208,7 @@ def _cmd_detect(cfg: dict[str, Any], outputs: _OutputSet) -> None:
     columns = zip(report.spe.tolist(), report.flags.tolist(), labels.tolist())
     rows = [(j, spe, q_beta, int(flag), int(label)) for j, (spe, flag, label) in enumerate(columns)]
     header = ("snapshot", "spe", "q_beta", "flag", "label")
-    outputs.write("report.csv", partial(write_table, header, rows))
-    outputs.write_echo(cfg)
+    write_table(header, rows, out / "report.csv")
     picked = f", ensemble={report.model_summary.ensemble.value}" if method == METHOD_SSPBAD else ""
     print(
         f"flagged {report.flag_count} of {report.spe.shape[0]} snapshots "
@@ -248,7 +216,7 @@ def _cmd_detect(cfg: dict[str, Any], outputs: _OutputSet) -> None:
     )
 
 
-def _cmd_sweep(cfg: dict[str, Any], outputs: _OutputSet) -> None:
+def _cmd_sweep(cfg: dict[str, Any], out: Path) -> None:
     methods = cfg["method"] or METHODS
     cfg["method"] = tuple(methods)
     scenario_cfg = _scenario_config(cfg)
@@ -267,23 +235,21 @@ def _cmd_sweep(cfg: dict[str, Any], outputs: _OutputSet) -> None:
     header = ("method", "rank", "trial", "detection_rate", "tpr", "far", "flag_count")
     table = [(r.method, r.rank, r.trial, r.detection_rate, r.tpr, r.far, r.flag_count)
              for r in rows]
-    outputs.write("sweep.csv", partial(write_table, header, table))
+    write_table(header, table, out / "sweep.csv")
     header = ("method", "rank", "mean_detection_rate", "std_detection_rate")
     means = [(curve.method, *point) for curve in curves
              for point in zip(curve.ranks, curve.mean_detection_rate, curve.std_detection_rate)]
-    outputs.write("sweep_mean.csv", partial(write_table, header, means))
-    outputs.write_echo(cfg)
-    print(f"wrote {len(rows)} sweep rows over {cfg['trials']} trials to {outputs.directory}")
+    write_table(header, means, out / "sweep_mean.csv")
+    print(f"wrote {len(rows)} sweep rows over {cfg['trials']} trials to {out}")
 
 
-def _cmd_variances(cfg: dict[str, Any], outputs: _OutputSet) -> None:
+def _cmd_variances(cfg: dict[str, Any], out: Path) -> None:
     y, _ = _load_traffic(cfg, need_labels=False)
     kinds = _ensemble_kinds(cfg)
     seed = SeedSpec(cfg["master_seed"], cfg["stream_index"])
     table = variance_compare(y, cfg["rank"], seed, cfg["power_exponent"], kinds)
     rows = [(i, *row) for i, row in enumerate(table.variances.tolist())]
-    outputs.write("variances.csv", partial(write_table, ("index", *table.methods), rows))
-    outputs.write_echo(cfg)
+    write_table(("index", *table.methods), rows, out / "variances.csv")
     worst = max(table.top_rank_deviation.items(), key=lambda item: item[1])
     print(
         f"wrote variance table ({table.variances.shape[0]} indices x {len(table.methods)} "
@@ -292,7 +258,7 @@ def _cmd_variances(cfg: dict[str, Any], outputs: _OutputSet) -> None:
 
 
 class _Subcommand(NamedTuple):
-    run: Callable[[dict[str, Any], _OutputSet], None]
+    run: Callable[[dict[str, Any], Path], None]
     help: str
     fields: tuple[str, ...]
 
@@ -320,14 +286,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        outputs = _OutputSet(Path(cfg["output"]))
+        out = Path(cfg["output"])
+        created = not out.exists()
+        out.mkdir(parents=True, exist_ok=True)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _SUBCOMMANDS[args.subcommand].run(cfg, outputs)
+        # a failed run replaces none of an earlier run's files
+        with _all_or_none():
+            _SUBCOMMANDS[args.subcommand].run(cfg, out)
+            echo = {key: _echo_value(value) for key, value in cfg.items() if value is not None}
+            write_config_file(echo, out / "config.echo")
     except Exception as exc:
-        outputs.discard()
+        if created:
+            try:
+                out.rmdir()
+            except OSError:
+                pass
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -7,6 +7,8 @@ Three ways to build an orthonormal basis ordered by captured variance:
 * sspbad -- QR of Y Y^T T2 for one random T2 per ensemble family, keeping
             whichever candidate basis flags the most snapshots.
 
+Each fit reads the m x t traffic once, for its m x m second moment.
+
 The first r basis columns span the normal subspace; the squared norm of
 each snapshot's residual (SPE) is compared against the Q-statistic
 threshold derived from the residual variance spectrum.
@@ -22,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .ensembles import EnsembleKind, SeedSpec, ensemble_matrix, gen_gaussian
-from .linalg import center_rows, householder_qr, row_variance, sym_eig
+from .linalg import center_rows, householder_qr, sym_eig
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -153,25 +155,40 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def _prepare_traffic(y: np.ndarray, center: bool) -> tuple[np.ndarray, np.ndarray]:
+class _Moments(NamedTuple):
+    """The traffic's second moment, which every model is built from."""
+
+    mean: np.ndarray  # removed by the model: the row means if centered, else zeros
+    covariance: np.ndarray  # C, covariance of the row-centered traffic
+    second: np.ndarray  # W W^T / (t-1) for the traffic W as the model sees it
+
+
+def _moments(y: np.ndarray, center: bool) -> _Moments:
+    m, t = y.shape
+    if t < 2:
+        raise ValueError(f"need at least 2 snapshots to estimate a covariance, got {t}")
+    centered, mu = center_rows(y)
+    covariance = centered @ centered.T / (t - 1)
     if center:
-        return center_rows(y)
-    return y, np.zeros(y.shape[0])
+        return _Moments(mu, covariance, covariance)
+    # C + t/(t-1) mu mu^T; never the uncentered Gram minus the mean term,
+    # which cancels badly when the means dominate
+    second = covariance + (t / (t - 1)) * np.outer(mu, mu)
+    return _Moments(np.zeros(m), covariance, second)
 
 
 def _ranked_basis_model(
     basis: np.ndarray,
-    work: np.ndarray,
+    moments: _Moments,
     rank: int,
     method: str,
     centered: bool,
-    mean: np.ndarray,
     ensemble: EnsembleKind | None = None,
     power_exponent: int | None = None,
 ) -> SubspaceModel:
     """Order basis columns by descending captured variance of the
-    projected traffic."""
-    variances = row_variance(basis.T @ work)
+    projected traffic, diag(Q^T C Q)."""
+    variances = np.sum(basis * (moments.covariance @ basis), axis=0)
     order = np.argsort(-variances, kind="stable")
     return SubspaceModel(
         basis=basis[:, order],
@@ -179,7 +196,7 @@ def _ranked_basis_model(
         rank=rank,
         method=method,
         centered=centered,
-        mean=mean,
+        mean=moments.mean,
         ensemble=ensemble,
         power_exponent=power_exponent,
     )
@@ -190,19 +207,16 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
     the row-centered traffic; basis columns are all m eigenvectors and the
     captured variances are the eigenvalues."""
     y = _as_traffic(y)
-    m, t = y.shape
-    if t < 2:
-        raise ValueError(f"need at least 2 snapshots to estimate a covariance, got {t}")
-    _check_rank(rank, m)
-    centered, mu = center_rows(y)
-    eig = sym_eig(centered @ centered.T / (t - 1))
+    _check_rank(rank, y.shape[0])
+    moments = _moments(y, center=True)
+    eig = sym_eig(moments.covariance)
     return SubspaceModel(
         basis=eig.eigenvectors,
         variances=eig.eigenvalues,
         rank=rank,
         method=METHOD_PCA,
         centered=True,
-        mean=mu,
+        mean=moments.mean,
     )
 
 
@@ -215,7 +229,8 @@ def build_rbad_model(
 ) -> SubspaceModel:
     """Randomized-basis model: Q from the QR factorization of
     B = (Y Y^T)^q Y Phi with a Gaussian t x m test matrix Phi, columns
-    reordered by captured variance.
+    reordered by captured variance. Only Y Phi reads the traffic; each
+    power step multiplies by the m x m second moment Y Y^T / (t-1).
 
     The traffic is used uncentered by default; pass center=True for
     variance comparisons against the pca model.
@@ -225,15 +240,12 @@ def build_rbad_model(
     _check_rank(rank, m)
     if power_exponent < 0:
         raise ValueError(f"power_exponent must be nonnegative, got {power_exponent}")
-    work, mu = _prepare_traffic(y, center)
-    phi = gen_gaussian(t, m, seed, 1.0)
-    b = work @ phi
+    moments = _moments(y, center)
+    b = (y - moments.mean[:, None]) @ gen_gaussian(t, m, seed, 1.0)
     for _ in range(power_exponent):
-        b = work @ (work.T @ b)
+        b = moments.second @ b
     q, _ = householder_qr(b)
-    return _ranked_basis_model(
-        q, work, rank, METHOD_RBAD, center, mu, power_exponent=power_exponent
-    )
+    return _ranked_basis_model(q, moments, rank, METHOD_RBAD, center, power_exponent=power_exponent)
 
 
 def build_sspbad_candidates(
@@ -243,31 +255,27 @@ def build_sspbad_candidates(
     kinds: Iterable[EnsembleKind] | None = None,
     center: bool = False,
 ) -> list[SubspaceModel]:
-    """One candidate basis per ensemble family: draw T2 (m x m), form
-    T1 = Y^T T2 then T2 <- Y T1 (a single power-iteration step on the
-    sketch), and orthonormalize by QR.
+    """One candidate basis per ensemble family: draw T2 (m x m), take
+    Y Y^T T2 (a single power-iteration step on the sketch, through the
+    m x m second moment Y Y^T / (t-1)), and orthonormalize by QR.
 
     Candidates come back in the fixed family order regardless of the order
     of `kinds`; each family draws from its own substream of `seed`.
     """
     y = _as_traffic(y)
-    m, t = y.shape
+    m = y.shape[0]
     _check_rank(rank, m)
     requested = set(EnsembleKind) if kinds is None else set(kinds)
     if not requested:
         raise ValueError("kinds must be nonempty")
-    work, mu = _prepare_traffic(y, center)
+    moments = _moments(y, center)
     models = []
     for index, kind in enumerate(EnsembleKind):
         if kind not in requested:
             continue
         t2 = ensemble_matrix(kind, m, m, seed.split(index))
-        t1 = work.T @ t2
-        t2 = work @ t1
-        q, _ = householder_qr(t2)
-        models.append(
-            _ranked_basis_model(q, work, rank, METHOD_SSPBAD, center, mu, ensemble=kind)
-        )
+        q, _ = householder_qr(moments.second @ t2)
+        models.append(_ranked_basis_model(q, moments, rank, METHOD_SSPBAD, center, ensemble=kind))
     return models
 
 

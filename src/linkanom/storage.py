@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -35,20 +36,42 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# (NAME.tmp, NAME) of every output written inside the open `_all_or_none`
+# block; context-local, so no other thread or caller sees the list
+_staged: ContextVar[list[tuple[Path, Path]] | None] = ContextVar("_staged", default=None)
+
+
+@contextmanager
+def _all_or_none() -> Iterator[None]:
+    """Output files written in the block appear together or not at all:
+    each stays staged under its NAME.tmp sibling until the block succeeds,
+    then all are renamed into place; the temps are removed either way. A
+    nested block joins the outermost one."""
+    if _staged.get() is not None:
+        yield
+        return
+    staged: list[tuple[Path, Path]] = []
+    token = _staged.set(staged)
+    try:
+        yield
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        _staged.reset(token)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
 @contextmanager
 def _atomic_open(path: Path) -> Iterator[TextIO]:
-    """No output file is ever half-written: the block writes to a sibling
-    temp file, renamed into place once the block succeeds and removed if
-    it fails."""
+    """No output file is ever half-written: the block writes the staged
+    temp file of an `_all_or_none` block (a block of its own if none is
+    open)."""
     tmp = path.with_name(path.name + ".tmp")
-    handle = open(tmp, "w")
-    try:
-        with handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _all_or_none(), open(tmp, "w") as handle:
+        # staged once created, so a failed open never removes what it did not create
+        _staged.get().append((tmp, path))
+        yield handle
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -145,9 +168,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def write_scenario(scenario: Scenario, directory: str | Path) -> list[Path]:
-    """Write one CSV per scenario matrix plus the label column; returns the
-    created paths (config echoing is the CLI's job). A failed write removes
-    the files this call already wrote."""
+    """Write one CSV per scenario matrix plus the label column, all or
+    none; returns the written paths (config echoing is the CLI's job)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     contents = (
@@ -158,16 +180,10 @@ def write_scenario(scenario: Scenario, directory: str | Path) -> list[Path]:
         ("V.csv", write_matrix_csv, scenario.v),
         ("labels.csv", write_labels_csv, scenario.labels),
     )
-    written: list[Path] = []
-    try:
+    with _all_or_none():
         for name, writer, data in contents:
             writer(data, directory / name)
-            written.append(directory / name)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    return written
+    return [directory / name for name, _, _ in contents]
 
 
 def read_scenario(directory: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -48,6 +48,18 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert sorted(path.name for path in out.iterdir()) == ["R.csv.tmp"]
 
+    def test_failed_rerun_keeps_earlier_scenario(self, tmp_path, capsys):
+        out = tmp_path / "scen"
+        assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(before) == 7
+        (out / "X.csv.tmp").mkdir()  # X.csv, the third file, cannot be written
+        rerun = [*SMALL_ARGS[:-1], "10"]  # another master seed
+        assert main(["generate", *rerun, "--output", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        assert after == before
+
     def test_failed_matrix_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
         savetxt, calls = np.savetxt, []
 

@@ -91,6 +91,17 @@ class TestBuildPcaModel:
         centered = y - model.mean[:, None]
         observed = row_variance(model.basis.T @ centered)
         np.testing.assert_allclose(observed, model.variances, rtol=1e-8)
+        # randomized bases, on row means near 1e3 that dwarf the unit-scale
+        # spread: a second moment formed by subtracting the mean term from
+        # the uncentered Gram would cancel to noise here
+        y = rng.normal(1e3, 10.0, size=(30, 1)) + rng.normal(size=(30, 150))
+        for center in (False, True):
+            models = [build_rbad_model(y, 10, SeedSpec(23), center=center)]
+            models += build_sspbad_candidates(y, 10, SeedSpec(24), center=center)
+            for model in models:
+                observed = row_variance(model.basis.T @ y)
+                error = np.max(np.abs(observed - model.variances))
+                assert error <= 1e-10 * model.variances[0], (center, model.ensemble)
 
     def test_noiseless_scenario_spectrum_truncates_at_true_rank(self):
         sc = assemble_scenario(NOISELESS)
@@ -104,8 +115,15 @@ class TestBuildPcaModel:
             build_pca_model(y, 6)
         with pytest.raises(ValueError, match="rank"):
             build_pca_model(y, 0)
-        with pytest.raises(ValueError, match="snapshots"):
-            build_pca_model(y[:, :1], 2)
+        for build in (
+            lambda: build_pca_model(y[:, :1], 2),
+            lambda: build_rbad_model(y[:, :1], 2, SeedSpec(1)),
+            lambda: build_sspbad_candidates(y[:, :1], 2, SeedSpec(1)),
+            *(lambda method=method: detect_method(method, y[:, :1], [2], SeedSpec(1))
+              for method in ("pca", "rbad", "sspbad")),
+        ):
+            with pytest.raises(ValueError, match="snapshots"):
+                build()
 
     def test_model_metadata(self):
         y = np.random.default_rng(1).normal(size=(8, 40))

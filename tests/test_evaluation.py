@@ -2,6 +2,8 @@
 combined detection-rate measure, variance tables, and sweep determinism."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,18 @@ from linkanom.evaluation import (
     true_positive_rate,
     variance_compare,
 )
-from linkanom.traffic import ScenarioConfig, assemble_scenario
+from linkanom.traffic import ScenarioConfig, assemble_scenario, default_anomaly_count
 
 SMALL = ScenarioConfig(m=24, n=48, t=90, r_true=6, anomaly_count=10, seed=SeedSpec(5))
+
+# The benchmark's sweeps and rank grid, copied from bench/workloads.py:
+# importing that module would pin the BLAS thread count for the session.
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+BENCH_SWEEPS = {
+    "sweep_ref": ((120, 240, 640), ("pca", "rbad", "sspbad")),
+    "sweep_large_rand": ((480, 960, 2560), ("rbad", "sspbad")),
+}
+BENCH_RANKS = (8, 16, 24, 32, 48, 64)
 
 
 def _report(flags):
@@ -216,3 +227,24 @@ class TestSweepRank:
         want, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=kinds)
         got, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=(k for k in kinds))
         assert got == want
+
+
+class TestBenchmarkReferenceRows:
+    """Streams 0 and 1 of each benchmark sweep score within the
+    benchmark's tolerance of its recorded rows (flag count within
+    2 + 0.5%, detection rate within 0.03), so a numerical change that
+    flips flags fails here before it fails the benchmark."""
+
+    @pytest.mark.parametrize("master_seed", [7, 1704])
+    @pytest.mark.parametrize("workload", sorted(BENCH_SWEEPS))
+    def test_rows_match_reference(self, workload, master_seed):
+        reference = json.loads(BENCH_REFERENCE.read_text())[workload][str(master_seed)]
+        (m, n, t), methods = BENCH_SWEEPS[workload]
+        for stream in (0, 1):
+            cfg = ScenarioConfig(m=m, n=n, t=t, anomaly_count=default_anomaly_count(m, t),
+                                 seed=SeedSpec(master_seed, stream))
+            rows, _ = sweep_rank(cfg, methods, BENCH_RANKS, trials=1)
+            for row, (rate, flags) in zip(rows, reference[str(stream)], strict=True):
+                where = (stream, row.method, row.rank)
+                assert abs(row.flag_count - flags) <= 2 + 0.005 * flags, where
+                assert abs(row.detection_rate - rate) <= 0.03, where
