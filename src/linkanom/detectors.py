@@ -7,7 +7,8 @@ Three ways to build an orthonormal basis ordered by captured variance:
 * sspbad -- QR of Y Y^T T2 for one random T2 per ensemble family, keeping
             whichever candidate basis flags the most snapshots.
 
-Each fit reads the m x t traffic once, for its m x m second moment.
+Each fit reads the m x t traffic once, for its m x m second moment;
+models fitted to the same traffic share that reduction.
 
 The first r basis columns span the normal subspace; the squared norm of
 each snapshot's residual (SPE) is compared against the Q-statistic
@@ -163,18 +164,28 @@ class _Moments(NamedTuple):
     second: np.ndarray  # W W^T / (t-1) for the traffic W as the model sees it
 
 
-def _moments(y: np.ndarray, center: bool) -> _Moments:
-    m, t = y.shape
-    if t < 2:
-        raise ValueError(f"need at least 2 snapshots to estimate a covariance, got {t}")
-    centered, mu = center_rows(y)
-    covariance = centered @ centered.T / (t - 1)
-    if center:
-        return _Moments(mu, covariance, covariance)
-    # C + t/(t-1) mu mu^T; never the uncentered Gram minus the mean term,
-    # which cancels badly when the means dominate
-    second = covariance + (t / (t - 1)) * np.outer(mu, mu)
-    return _Moments(np.zeros(m), covariance, second)
+class _Traffic:
+    """Validated traffic and its row means and covariance, reduced on the
+    first fit and shared by every model fitted to it afterwards."""
+
+    def __init__(self, y) -> None:
+        self.y = _as_traffic(y)
+        self._reduced: tuple[np.ndarray, np.ndarray] | None = None
+
+    def moments(self, center: bool) -> _Moments:
+        m, t = self.y.shape
+        if self._reduced is None:
+            if t < 2:
+                raise ValueError(f"need at least 2 snapshots to estimate a covariance, got {t}")
+            centered, mu = center_rows(self.y)
+            self._reduced = mu, centered @ centered.T / (t - 1)
+        mu, covariance = self._reduced
+        if center:
+            return _Moments(mu, covariance, covariance)
+        # C + t/(t-1) mu mu^T; never the uncentered Gram minus the mean term,
+        # which cancels badly when the means dominate
+        second = covariance + (t / (t - 1)) * np.outer(mu, mu)
+        return _Moments(np.zeros(m), covariance, second)
 
 
 def _ranked_basis_model(
@@ -206,9 +217,12 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
     """Principal-component model: eigendecomposition of the covariance of
     the row-centered traffic; basis columns are all m eigenvectors and the
     captured variances are the eigenvalues."""
-    y = _as_traffic(y)
-    _check_rank(rank, y.shape[0])
-    moments = _moments(y, center=True)
+    return _pca_model(_Traffic(y), rank)
+
+
+def _pca_model(traffic: _Traffic, rank: int) -> SubspaceModel:
+    _check_rank(rank, traffic.y.shape[0])
+    moments = traffic.moments(center=True)
     eig = sym_eig(moments.covariance)
     return SubspaceModel(
         basis=eig.eigenvectors,
@@ -235,13 +249,19 @@ def build_rbad_model(
     The traffic is used uncentered by default; pass center=True for
     variance comparisons against the pca model.
     """
-    y = _as_traffic(y)
-    m, t = y.shape
+    return _rbad_model(_Traffic(y), rank, seed, power_exponent, center)
+
+
+def _rbad_model(
+    traffic: _Traffic, rank: int, seed: SeedSpec, power_exponent: int, center: bool
+) -> SubspaceModel:
+    m, t = traffic.y.shape
     _check_rank(rank, m)
     if power_exponent < 0:
         raise ValueError(f"power_exponent must be nonnegative, got {power_exponent}")
-    moments = _moments(y, center)
-    b = (y - moments.mean[:, None]) @ gen_gaussian(t, m, seed, 1.0)
+    moments = traffic.moments(center)
+    # uncentered, the sketch reads Y itself rather than a copy of Y - 0
+    b = (traffic.y - moments.mean[:, None] if center else traffic.y) @ gen_gaussian(t, m, seed, 1.0)
     for _ in range(power_exponent):
         b = moments.second @ b
     q, _ = householder_qr(b)
@@ -262,13 +282,22 @@ def build_sspbad_candidates(
     Candidates come back in the fixed family order regardless of the order
     of `kinds`; each family draws from its own substream of `seed`.
     """
-    y = _as_traffic(y)
-    m = y.shape[0]
+    return _sspbad_candidates(_Traffic(y), rank, seed, kinds, center)
+
+
+def _sspbad_candidates(
+    traffic: _Traffic,
+    rank: int,
+    seed: SeedSpec,
+    kinds: Iterable[EnsembleKind] | None,
+    center: bool,
+) -> list[SubspaceModel]:
+    m = traffic.y.shape[0]
     _check_rank(rank, m)
     requested = set(EnsembleKind) if kinds is None else set(kinds)
     if not requested:
         raise ValueError("kinds must be nonempty")
-    moments = _moments(y, center)
+    moments = traffic.moments(center)
     models = []
     for index, kind in enumerate(EnsembleKind):
         if kind not in requested:
@@ -311,8 +340,14 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     with c_beta the (1-beta) standard-normal quantile.
     """
     variances = np.asarray(variances, dtype=float)
-    m = variances.shape[0]
-    _check_rank(rank, m)
+    _check_rank(rank, variances.shape[0])
+    clipped = _clipped_spectrum(variances, beta)
+    theta, h0 = _theta_h0(clipped, rank)
+    return _threshold(theta, h0, normal_quantile(1.0 - beta), beta)
+
+
+def _clipped_spectrum(variances: np.ndarray, beta: float) -> np.ndarray:
+    """The validated variance spectrum with its roundoff negatives set to 0."""
     if not np.isfinite(variances).all():
         raise ValueError("variances contain non-finite values (NaN or inf)")
     if not 0.0 < beta < 1.0:
@@ -323,7 +358,12 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     # eigenvalues of a singular covariance (t <= m) come out at -eps*lambda_1
     if np.any(variances < -1e-12 * scale):
         raise ValueError("variances must be nonnegative up to roundoff (-1e-12 * max(lambda_1, 1))")
-    residual = np.maximum(variances[rank:], 0.0)
+    return np.maximum(variances, 0.0)
+
+
+def _theta_h0(clipped: np.ndarray, rank: int) -> tuple[tuple[float, float, float], float]:
+    """theta_1..3 of the residual spectrum past `rank`, and h0."""
+    residual = clipped[rank:]
     theta1 = float(np.sum(residual))
     theta2 = float(np.sum(residual**2))
     theta3 = float(np.sum(residual**3))
@@ -338,7 +378,11 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
         )
     if abs(h0) < 1e-12:
         raise DegenerateSpectrumError("degenerate residual spectrum: h0 is numerically zero")
-    c_beta = normal_quantile(1.0 - beta)
+    return (theta1, theta2, theta3), h0
+
+
+def _threshold(theta: tuple[float, float, float], h0: float, c_beta: float, beta: float) -> QThreshold:
+    theta1, theta2, _ = theta
     base = c_beta * math.sqrt(2.0 * theta2 * h0 * h0) / theta1 + 1.0 + theta2 * h0 * (h0 - 1.0) / theta1**2
     inv_h0 = 1.0 / h0
     if base > 0.0:
@@ -352,7 +396,7 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
         raise DegenerateSpectrumError("threshold undefined for this spectrum: nonpositive base")
     return QThreshold(
         q_beta=theta1 * power,
-        theta=(theta1, theta2, theta3),
+        theta=theta,
         h0=h0,
         c_beta=c_beta,
         beta=beta,
@@ -387,9 +431,15 @@ def detect_ranks(
     so each further normal column removes its own coordinate:
     SPE(r) = SPE(lo) - sum_{lo <= i < r} z_i^2, exact up to a roundoff of
     order eps * SPE(lo). For a single rank this is the arithmetic of
-    `project`, bit for bit.
+    `project`, bit for bit. The spectrum is validated and c_beta computed
+    once; each rank's threshold equals `q_threshold`'s, bit for bit.
     """
-    y = _as_traffic(y, model.m)
+    return _detect_ranks(model, _as_traffic(y, model.m), ranks, beta)
+
+
+def _detect_ranks(
+    model: SubspaceModel, y: np.ndarray, ranks: Iterable[int], beta: float
+) -> list[DetectionReport]:
     ranks = list(ranks)
     if not ranks:
         raise ValueError("ranks must be nonempty")
@@ -398,13 +448,21 @@ def detect_ranks(
     lo, hi = min(ranks), max(ranks)
     work = _model_work(model, y)
     z = model.basis[:, :hi].T @ work
-    spe_lo = spe_per_snapshot(work - model.basis[:, :lo] @ z[:lo])
+    # the rank-lo residual, then its squares, in one m x t buffer
+    residual = model.basis[:, :lo] @ z[:lo]
+    np.subtract(work, residual, out=residual)
+    spe_lo = np.sum(np.square(residual, out=residual), axis=0)
     removed = np.cumsum(z[lo:] ** 2, axis=0)
+    clipped = _clipped_spectrum(model.variances, beta)
+    c_beta = None  # only a nondegenerate rank needs it
     reports = []
     for rank in ranks:
         spe = spe_lo if rank == lo else spe_lo - removed[rank - lo - 1]
         try:
-            threshold = q_threshold(model.variances, rank, beta)
+            theta, h0 = _theta_h0(clipped, rank)
+            if c_beta is None:
+                c_beta = normal_quantile(1.0 - beta)
+            threshold = _threshold(theta, h0, c_beta, beta)
         except DegenerateSpectrumError:
             threshold = None
         flags = np.zeros(spe.shape[0], dtype=bool) if threshold is None else spe > threshold.q_beta
@@ -453,13 +511,27 @@ def detect_method(
     ranks = list(ranks)
     if not ranks:
         raise ValueError("ranks must be nonempty")
-    if method == METHOD_PCA:
-        models = [build_pca_model(y, ranks[0])]
-    elif method == METHOD_RBAD:
-        models = [build_rbad_model(y, ranks[0], seed, power_exponent, center)]
-    elif method == METHOD_SSPBAD:
-        models = build_sspbad_candidates(y, ranks[0], seed, kinds, center)
-    else:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    per_model = [detect_ranks(model, y, ranks, beta) for model in models]
+    return _detect_method(method, _Traffic(y), ranks, seed, beta, power_exponent, kinds, center)
+
+
+def _detect_method(
+    method: str,
+    traffic: _Traffic,
+    ranks: list[int],
+    seed: SeedSpec,
+    beta: float,
+    power_exponent: int,
+    kinds: Iterable[EnsembleKind] | None,
+    center: bool,
+) -> list[DetectionReport]:
+    """`detect_method` on traffic that is already validated."""
+    if method == METHOD_PCA:
+        models = [_pca_model(traffic, ranks[0])]
+    elif method == METHOD_RBAD:
+        models = [_rbad_model(traffic, ranks[0], seed, power_exponent, center)]
+    else:
+        models = _sspbad_candidates(traffic, ranks[0], seed, kinds, center)
+    per_model = [_detect_ranks(model, traffic.y, ranks, beta) for model in models]
     return [sspbad_select(at_rank) for at_rank in zip(*per_model)]

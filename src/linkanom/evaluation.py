@@ -4,10 +4,14 @@ normal-subspace rank."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,10 +23,11 @@ from .detectors import (
     METHOD_SSPBAD,
     METHODS,
     DetectionReport,
-    build_pca_model,
-    build_rbad_model,
-    build_sspbad_candidates,
-    detect_method,
+    _detect_method,
+    _pca_model,
+    _rbad_model,
+    _sspbad_candidates,
+    _Traffic,
 )
 from .ensembles import EnsembleKind, SeedSpec
 from .traffic import ScenarioConfig, assemble_scenario
@@ -143,14 +148,28 @@ def variance_compare(
 ) -> VarianceTable:
     """Tabulate the captured-variance sequences of every method on the same
     traffic, all in centered mode so the randomized bases are directly
-    comparable with the pca eigenvalues."""
-    pca = build_pca_model(y, rank)
-    rbad = build_rbad_model(y, rank, seed.split(_RBAD_STREAM), power_exponent, center=True)
-    candidates = build_sspbad_candidates(y, rank, seed.split(_SSPBAD_STREAM), kinds, center=True)
+    comparable with the pca eigenvalues. Every method is fitted from one
+    reduction of the traffic.
+
+    Raises ValueError when one of the top `rank` pca eigenvalues is
+    numerically zero (at most 1e-12 * lambda_1), which leaves the relative
+    deviations undefined: the traffic has fewer than `rank` directions of
+    variance.
+    """
+    traffic = _Traffic(y)
+    pca = _pca_model(traffic, rank)
+    reference = pca.variances[:rank]
+    zero = np.flatnonzero(reference <= 1e-12 * reference[0])
+    if zero.size:
+        raise ValueError(
+            f"rank {rank} exceeds the traffic's directions of variance: pca eigenvalue "
+            f"{zero[0] + 1} of {rank} (counting from 1) is {reference[zero[0]]:.3g}, numerically zero"
+        )
+    rbad = _rbad_model(traffic, rank, seed.split(_RBAD_STREAM), power_exponent, center=True)
+    candidates = _sspbad_candidates(traffic, rank, seed.split(_SSPBAD_STREAM), kinds, center=True)
     columns: dict[str, np.ndarray] = {METHOD_PCA: pca.variances, METHOD_RBAD: rbad.variances}
     for model in candidates:
         columns[f"{METHOD_SSPBAD}-{model.ensemble.value}"] = model.variances
-    reference = pca.variances[:rank]
     deviations = {
         name: float(np.max(np.abs(values[:rank] - reference) / reference))
         for name, values in columns.items()
@@ -162,6 +181,55 @@ def variance_compare(
         rank=rank,
         top_rank_deviation=deviations,
     )
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked up
+    by ctypes under numpy.libs; None when no library there exposes them."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS, whose thread count is process-wide, at one thread
+    while any pooled sweep runs; the count from before the first of
+    overlapping sweeps is restored when the last one leaves. A no-op
+    without `_openblas_threads`."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._sweeps = 0
+        self._previous = 1
+
+    def __enter__(self) -> None:
+        found = _openblas_threads()
+        if found is not None:
+            with self._lock:
+                if self._sweeps == 0:
+                    self._previous = found[0]()
+                    found[1](1)
+                self._sweeps += 1
+
+    def __exit__(self, *exc_info) -> None:
+        found = _openblas_threads()
+        if found is not None:
+            with self._lock:
+                self._sweeps -= 1
+                if self._sweeps == 0:
+                    found[1](self._previous)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def _run_trial(
@@ -176,13 +244,16 @@ def _run_trial(
 ) -> list[MetricRow]:
     trial_seed = replace(cfg.seed, stream_index=cfg.seed.stream_index + trial)
     scenario = assemble_scenario(replace(cfg, seed=trial_seed))
+    # the working set: Y, validated once and reduced on the first fit for
+    # every method, and the labels; routing, flows, anomalies and noise go
+    traffic, labels = _Traffic(scenario.y), scenario.labels
+    del scenario
     rows = []
     for method in methods:
         seed = trial_seed.split(_DETECTOR_STREAMS.get(method, _RBAD_STREAM))
-        reports = detect_method(method, scenario.y, rank_grid, seed, beta=beta,
-                                power_exponent=power_exponent, kinds=kinds, center=center)
+        reports = _detect_method(method, traffic, rank_grid, seed, beta, power_exponent, kinds, center)
         for rank, report in zip(rank_grid, reports):
-            counts = score(report, scenario.labels)
+            counts = score(report, labels)
             rows.append(
                 MetricRow(
                     method=method,
@@ -213,8 +284,14 @@ def sweep_rank(
 
     Trial i draws its scenario from stream cfg.seed.stream_index + i, so
     the sweep is fully determined by (cfg, methods, rank_grid, trials,
-    beta); trials may run in parallel (workers > 1) without changing any
-    emitted number because rows are reduced in trial order either way.
+    beta, power_exponent, kinds, center); trials may run in parallel
+    (workers > 1) without changing any emitted number because rows are
+    reduced in trial order either way.
+
+    While a pool runs, numpy's bundled OpenBLAS is held at one thread, so
+    the trial threads do not each start BLAS threads of their own; the
+    previous count is restored afterwards, also when a trial raises. Where
+    numpy.libs holds no OpenBLAS exposing its thread count this is a no-op.
     """
     methods = list(methods)
     if not methods:
@@ -240,7 +317,7 @@ def sweep_rank(
         return _run_trial(cfg, trial, methods, rank_grid, beta, power_exponent, kinds, center)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run, range(trials)))
     else:
         per_trial = [run(trial) for trial in range(trials)]

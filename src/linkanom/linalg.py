@@ -94,13 +94,16 @@ def sym_eig(s) -> EigenDecomposition:
 
 
 def _fix_column_signs(vectors: np.ndarray) -> None:
-    """Flip columns in place so the first nonzero entry of each is positive."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nz = np.abs(col) > 1e-12 * np.max(np.abs(col))
-        lead = int(np.argmax(nz))
-        if col[lead] < 0.0:
-            vectors[:, j] = -col
+    """Flip columns in place so the first nonzero entry of each is positive
+    (entries within 1e-12 of the column's largest magnitude count as zero;
+    a zero column is left as it is)."""
+    if not vectors.size:
+        return
+    magnitude = np.abs(vectors)
+    nonzero = magnitude > 1e-12 * magnitude.max(axis=0)
+    lead = np.argmax(nonzero, axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    vectors[:, flip] *= -1.0
 
 
 def row_variance(m) -> np.ndarray:

@@ -110,13 +110,18 @@ def gen_anomalies(n: int, t: int, s: int, seed: SeedSpec) -> tuple[np.ndarray, n
 
 def assemble_scenario(cfg: ScenarioConfig) -> Scenario:
     """Draw all scenario components on disjoint substreams of cfg.seed and
-    assemble y = routing @ (x + a) + v."""
+    assemble y = routing @ (x + a) + v.
+
+    The noise is drawn after the product and added in place, so it is not
+    alive beside x + a; its substream makes the order irrelevant to the bits.
+    """
     x = gen_flows(cfg.n, cfg.t, cfg.r_true, cfg.seed.split(_FLOWS))
     routing = gen_bernoulli(cfg.m, cfg.n, cfg.routing_density, cfg.seed.split(_ROUTING))
     a, labels = gen_anomalies(cfg.n, cfg.t, cfg.anomaly_count, cfg.seed.split(_ANOMALIES))
+    y = routing @ (x + a)
     if cfg.noise_variance > 0.0:
         v = gen_gaussian(cfg.m, cfg.t, cfg.seed.split(_NOISE), np.sqrt(cfg.noise_variance))
     else:
         v = np.zeros((cfg.m, cfg.t))
-    y = routing @ (x + a) + v
+    y += v
     return Scenario(y=y, routing=routing, x=x, a=a, v=v, labels=labels, config=cfg)

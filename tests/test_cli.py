@@ -226,6 +226,15 @@ class TestVariances:
         header = (out / "variances.csv").read_text().splitlines()[0]
         assert header == "index,pca,rbad,sspbad-markov-column-stochastic,sspbad-rademacher"
 
+    def test_rank_beyond_the_traffic_is_an_error(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        assert main(["generate", *SMALL_ARGS, "--noise-variance", "0", "--anomaly-count", "0",
+                     "--output", str(scen)]) == 0
+        out = tmp_path / "var"
+        assert main(["variances", "--input", str(scen), "--rank", "8", "--output", str(out)]) == 1
+        assert "rank 8" in capsys.readouterr().err
+        assert not (out / "variances.csv").exists()
+
 
 class TestErrorSurface:
     def test_unknown_subcommand_prints_usage(self):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from linkanom import detectors
 from linkanom.detectors import (
     DegenerateSpectrumError,
     DetectionReport,
@@ -560,6 +561,20 @@ class TestDetectRanks:
             detect_method("pca", y, [], SeedSpec(1))
         with pytest.raises(ValueError, match="unknown method 'rpca'"):
             detect_method("rpca", y, [2], SeedSpec(1))
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_thresholds_are_q_threshold_from_one_quantile(self, monkeypatch, stream):
+        sc, models = _reference_models(stream)
+        quantiles = []
+        real = detectors.normal_quantile
+        monkeypatch.setattr(detectors, "normal_quantile", lambda p: quantiles.append(p) or real(p))
+        for model in models:
+            for beta in (0.005, 0.05):
+                quantiles.clear()
+                reports = detect_ranks(model, sc.y, REFERENCE_GRID, beta)
+                assert quantiles == [1.0 - beta]
+                for rank, report in zip(REFERENCE_GRID, reports):
+                    assert report.threshold == q_threshold(model.variances, rank, beta)
 
     def test_degenerate_rank_gives_no_threshold(self):
         rng = np.random.default_rng(43)

@@ -3,6 +3,9 @@ combined detection-rate measure, variance tables, and sweep determinism."""
 
 import dataclasses
 import json
+import threading
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkanom.detectors import DetectionReport, ModelSummary
+from linkanom import detectors, evaluation
+from linkanom.detectors import DetectionReport, ModelSummary, detect_method
 from linkanom.ensembles import EnsembleKind, SeedSpec
 from linkanom.evaluation import (
     ConfusionCounts,
+    MetricRow,
     detection_rate,
     false_alarm_rate,
     score,
@@ -150,6 +155,20 @@ class TestVarianceCompare:
         b = variance_compare(sc.y, 6, SeedSpec(74))
         np.testing.assert_array_equal(a.variances, b.variances)
 
+    def test_fewer_snapshots_than_rank_rejected(self):
+        # t = 10 centered snapshots span at most 9 directions, so pca
+        # eigenvalues 10..24 are roundoff and no deviation relative to them
+        # means anything
+        y = np.random.default_rng(75).normal(size=(40, 10))
+        with pytest.raises(ValueError, match=r"rank 24 .* eigenvalue 10 of 24"):
+            variance_compare(y, 24, SeedSpec(75))
+
+    def test_constant_traffic_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"rank 3 .* eigenvalue 1 of 3"):
+                variance_compare(np.full((8, 30), 3.0), 3, SeedSpec(76))
+
 
 class TestSweepRank:
     def test_single_point_shape(self):
@@ -227,6 +246,130 @@ class TestSweepRank:
         want, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=kinds)
         got, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=(k for k in kinds))
         assert got == want
+
+
+class TestTrialWorkingSet:
+    """One sweep trial reduces Y once for every method and holds only Y
+    and the labels while it fits."""
+
+    ARGS = (["pca", "rbad", "sspbad"], [4, 8], 0.005, 2, None)
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_one_reduction_per_trial(self, monkeypatch, center):
+        calls = []
+        real = detectors.center_rows
+        monkeypatch.setattr(detectors, "center_rows", lambda y: calls.append(1) or real(y))
+        evaluation._run_trial(SMALL, 0, *self.ARGS, center)
+        assert len(calls) == 1
+
+    def test_scenario_dead_before_first_fit(self, monkeypatch):
+        refs, alive_at_fit = [], []
+        real_assemble, real_center = evaluation.assemble_scenario, detectors.center_rows
+
+        def assemble(cfg):
+            scenario = real_assemble(cfg)
+            refs.extend(weakref.ref(getattr(scenario, name)) for name in ("x", "a", "v", "routing"))
+            return scenario
+
+        def center(y):
+            alive_at_fit.append([ref() is not None for ref in refs])
+            return real_center(y)
+
+        monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
+        monkeypatch.setattr(detectors, "center_rows", center)
+        evaluation._run_trial(SMALL, 0, *self.ARGS, False)
+        assert alive_at_fit == [[False] * 4]
+
+    @pytest.mark.parametrize("master_seed", [7, 1704])
+    def test_rows_equal_per_method_detection(self, master_seed):
+        cfg = ScenarioConfig(seed=SeedSpec(master_seed))
+        methods, grid = ["pca", "rbad", "sspbad"], [8, 16, 24, 32, 48, 64]
+        got = evaluation._run_trial(cfg, 1, methods, grid, 0.005, 2, None, False)
+        trial_seed = SeedSpec(master_seed, 1)
+        scenario = assemble_scenario(dataclasses.replace(cfg, seed=trial_seed))
+        want = []
+        for method in methods:
+            # detector substreams 4 (rbad, and pca which draws nothing) and 5 (sspbad)
+            seed = trial_seed.split(5 if method == "sspbad" else 4)
+            for rank, report in zip(grid, detect_method(method, scenario.y, grid, seed)):
+                counts = score(report, scenario.labels)
+                want.append(MetricRow(method, rank, 1, detection_rate(counts),
+                                      true_positive_rate(counts), false_alarm_rate(counts),
+                                      report.flag_count))
+        assert got == want
+
+
+_BLAS_THREADS = evaluation._openblas_threads()
+
+
+@pytest.mark.skipif(_BLAS_THREADS is None, reason="no OpenBLAS thread-count symbols in numpy.libs")
+class TestPoolBlasThreads:
+    """A pooled sweep holds OpenBLAS at one thread and restores the count."""
+
+    @pytest.fixture
+    def threads(self):
+        get, set_ = _BLAS_THREADS
+        previous = get()
+        set_(2)
+        yield get()  # the count the sweep must restore (capped by the core count)
+        set_(previous)
+
+    def test_one_thread_in_pool_and_restored(self, monkeypatch, threads):
+        get, _ = _BLAS_THREADS
+        seen = []
+        real = evaluation._run_trial
+        monkeypatch.setattr(evaluation, "_run_trial", lambda *a: seen.append(get()) or real(*a))
+        sweep_rank(SMALL, ["pca"], [6], trials=2, workers=2)
+        assert seen == [1, 1]
+        assert get() == threads
+        sweep_rank(SMALL, ["pca"], [6], trials=1)
+        assert seen[2:] == [threads]
+
+    def test_restored_after_a_trial_raises(self, monkeypatch, threads):
+        def fail(*args):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(evaluation, "_run_trial", fail)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            sweep_rank(SMALL, ["pca"], [6], trials=2, workers=2)
+        assert _BLAS_THREADS[0]() == threads
+
+    def test_overlapping_sweeps_restore_the_count_once(self, monkeypatch, threads):
+        # sweep B enters its pool after sweep A and A leaves first: B must
+        # keep running at one thread, and the count from before A comes back
+        get, _ = _BLAS_THREADS
+        a_in_pool, b_in_pool, a_done = threading.Event(), threading.Event(), threading.Event()
+        seen, waited = [], []
+        real = evaluation._run_trial
+        other = dataclasses.replace(SMALL, seed=SeedSpec(6))
+
+        def trial(cfg, *rest):
+            if cfg is other:
+                b_in_pool.set()
+                waited.append(a_done.wait(30))
+            else:
+                a_in_pool.set()
+                waited.append(b_in_pool.wait(30))
+            seen.append(get())
+            return real(cfg, *rest)
+
+        def sweep_a():
+            sweep_rank(SMALL, ["pca"], [6], trials=1, workers=2)
+            a_done.set()
+
+        monkeypatch.setattr(evaluation, "_run_trial", trial)
+        runners = [threading.Thread(target=sweep_a),
+                   threading.Thread(target=sweep_rank, args=(other, ["pca"], [6], 1),
+                                    kwargs={"workers": 2})]
+        runners[0].start()
+        assert a_in_pool.wait(30)
+        runners[1].start()
+        for runner in runners:
+            runner.join(60)
+            assert not runner.is_alive()
+        assert waited == [True, True]
+        assert seen == [1, 1]
+        assert get() == threads
 
 
 class TestBenchmarkReferenceRows:

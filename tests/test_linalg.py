@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from linkanom.linalg import (
+    _fix_column_signs,
     center_rows,
     householder_qr,
     row_variance,
@@ -118,6 +119,26 @@ class TestSymEig:
             col = e1.eigenvectors[:, j]
             lead = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
             assert col[lead] > 0
+
+    def test_sign_rule_column_by_column(self):
+        # leading entries within 1e-12 of the column maximum count as zero,
+        # and a zero column (or one of -0.0) is left untouched
+        rng = np.random.default_rng(10)
+        v = rng.normal(size=(7, 40)) * (rng.random((7, 40)) < 0.6)
+        v[0, ::3] = -1e-14
+        v[:, 5] = 0.0
+        v[:, 6] = -0.0
+        got = v.copy()
+        _fix_column_signs(got)
+        for j in range(v.shape[1]):
+            col = v[:, j]
+            nonzero = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
+            want = -col if nonzero.size and col[nonzero[0]] < 0.0 else col
+            np.testing.assert_array_equal(got[:, j], want)
+            np.testing.assert_array_equal(np.signbit(got[:, j]), np.signbit(want))
+        empty = np.zeros((0, 0))
+        _fix_column_signs(empty)
+        assert sym_eig(empty).eigenvalues.shape == (0,)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):

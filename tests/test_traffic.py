@@ -114,6 +114,12 @@ class TestAssembleScenario:
         sc = assemble_scenario(SMALL)
         assert np.linalg.norm(sc.y - (sc.routing @ (sc.x + sc.a) + sc.v)) == 0.0
 
+    def test_noiseless_reassembly_with_anomalies_is_exact(self):
+        sc = assemble_scenario(dataclasses.replace(SMALL, noise_variance=0.0))
+        assert sc.labels.any() and not sc.v.any()
+        np.testing.assert_array_equal(sc.y, sc.routing @ (sc.x + sc.a) + sc.v)
+        assert not np.signbit(sc.y[sc.y == 0.0]).any()  # -0.0 + 0.0 is +0.0, as before
+
     def test_labels_match_anomaly_columns(self):
         sc = assemble_scenario(SMALL)
         np.testing.assert_array_equal(sc.labels, np.any(sc.a != 0.0, axis=0))
