@@ -18,7 +18,7 @@ threshold derived from the residual variance spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence
 
@@ -86,10 +86,6 @@ class SubspaceModel:
     def m(self) -> int:
         return self.basis.shape[0]
 
-    def with_rank(self, rank: int) -> "SubspaceModel":
-        """Same basis and variances, different normal-subspace rank."""
-        return replace(self, rank=rank)
-
 
 class ModelSummary(NamedTuple):
     method: str
@@ -128,18 +124,9 @@ class DetectionReport:
         return self.threshold is None
 
 
-def _as_traffic(y, m: int | None = None) -> np.ndarray:
-    """Traffic as a finite float matrix with one row per link (m rows when
-    m is given); raises ValueError naming what is wrong."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ValueError(f"traffic y must be 2-D (links x snapshots), got ndim={y.ndim}")
-    if m is not None and y.shape[0] != m:
-        raise ValueError(f"traffic has {y.shape[0]} rows but the model basis has {m}")
-    bad = np.count_nonzero(~np.isfinite(y))
-    if bad:
-        raise ValueError(f"traffic y has {bad} non-finite values (NaN or inf)")
-    return y
+def _check_rows(rows: int, m: int | None) -> None:
+    if m is not None and rows != m:
+        raise ValueError(f"traffic has {rows} rows but the model basis has {m}")
 
 
 def _check_rank(rank: int, m: int) -> None:
@@ -165,11 +152,20 @@ class _Moments(NamedTuple):
 
 
 class _Traffic:
-    """Validated traffic and its row means and covariance, reduced on the
-    first fit and shared by every model fitted to it afterwards."""
+    """Traffic validated as a finite float matrix with one row per link (m
+    rows when m is given; ValueError names what is wrong), and its row means
+    and covariance, reduced on the first fit and shared by every model
+    fitted to it afterwards."""
 
-    def __init__(self, y) -> None:
-        self.y = _as_traffic(y)
+    def __init__(self, y, m: int | None = None) -> None:
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 2:
+            raise ValueError(f"traffic y must be 2-D (links x snapshots), got ndim={y.ndim}")
+        _check_rows(y.shape[0], m)
+        bad = np.count_nonzero(~np.isfinite(y))
+        if bad:
+            raise ValueError(f"traffic y has {bad} non-finite values (NaN or inf)")
+        self.y = y
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
 
     def moments(self, center: bool) -> _Moments:
@@ -186,6 +182,16 @@ class _Traffic:
         # which cancels badly when the means dominate
         second = covariance + (t / (t - 1)) * np.outer(mu, mu)
         return _Moments(np.zeros(m), covariance, second)
+
+
+def _traffic(y, m: int | None = None) -> _Traffic:
+    """`y` as a `_Traffic` (m rows when m is given). A `_Traffic` from an
+    earlier call is kept, with its validation and any reduction, so every
+    fit and detection on it shares them; anything else is validated anew."""
+    if not isinstance(y, _Traffic):
+        return _Traffic(y, m)
+    _check_rows(y.y.shape[0], m)
+    return y
 
 
 def _ranked_basis_model(
@@ -217,10 +223,7 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
     """Principal-component model: eigendecomposition of the covariance of
     the row-centered traffic; basis columns are all m eigenvectors and the
     captured variances are the eigenvalues."""
-    return _pca_model(_Traffic(y), rank)
-
-
-def _pca_model(traffic: _Traffic, rank: int) -> SubspaceModel:
+    traffic = _traffic(y)
     _check_rank(rank, traffic.y.shape[0])
     moments = traffic.moments(center=True)
     eig = sym_eig(moments.covariance)
@@ -249,12 +252,7 @@ def build_rbad_model(
     The traffic is used uncentered by default; pass center=True for
     variance comparisons against the pca model.
     """
-    return _rbad_model(_Traffic(y), rank, seed, power_exponent, center)
-
-
-def _rbad_model(
-    traffic: _Traffic, rank: int, seed: SeedSpec, power_exponent: int, center: bool
-) -> SubspaceModel:
+    traffic = _traffic(y)
     m, t = traffic.y.shape
     _check_rank(rank, m)
     if power_exponent < 0:
@@ -282,16 +280,7 @@ def build_sspbad_candidates(
     Candidates come back in the fixed family order regardless of the order
     of `kinds`; each family draws from its own substream of `seed`.
     """
-    return _sspbad_candidates(_Traffic(y), rank, seed, kinds, center)
-
-
-def _sspbad_candidates(
-    traffic: _Traffic,
-    rank: int,
-    seed: SeedSpec,
-    kinds: Iterable[EnsembleKind] | None,
-    center: bool,
-) -> list[SubspaceModel]:
+    traffic = _traffic(y)
     m = traffic.y.shape[0]
     _check_rank(rank, m)
     requested = set(EnsembleKind) if kinds is None else set(kinds)
@@ -316,7 +305,7 @@ def project(model: SubspaceModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     before projecting and folded back into y_hat, so the residual stays
     mean-free.
     """
-    y = _as_traffic(y, model.m)
+    y = _traffic(y, model.m).y
     p = model.basis[:, : model.rank]
     work = _model_work(model, y)
     y_tilde = work - p @ (p.T @ work)
@@ -352,6 +341,8 @@ def _clipped_spectrum(variances: np.ndarray, beta: float) -> np.ndarray:
         raise ValueError("variances contain non-finite values (NaN or inf)")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie strictly between 0 and 1, got {beta}")
+    if 1.0 - beta == 1.0:  # c_beta, the (1 - beta) quantile, would be infinite
+        raise ValueError(f"beta must exceed 2**-54 so that 1 - beta rounds below 1, got {beta}")
     scale = max(abs(variances[0]), 1.0)
     if np.any(np.diff(variances) > 1e-10 * scale):
         raise ValueError("variances must be sorted in descending order")
@@ -423,8 +414,8 @@ def detect(model: SubspaceModel, y: np.ndarray, beta: float = DEFAULT_BETA) -> D
 def detect_ranks(
     model: SubspaceModel, y: np.ndarray, ranks: Iterable[int], beta: float = DEFAULT_BETA
 ) -> list[DetectionReport]:
-    """`detect(model.with_rank(r), y, beta)` for every r in `ranks`, in
-    order, from one projection of the traffic.
+    """`detect` of the model at rank r, for every r in `ranks`, in order,
+    from one projection of the traffic.
 
     With lo and hi the smallest and largest rank, z = B[:, :hi]^T w gives
     the residual at lo as w - B[:, :lo] z[:lo]. The basis is orthonormal,
@@ -434,12 +425,7 @@ def detect_ranks(
     `project`, bit for bit. The spectrum is validated and c_beta computed
     once; each rank's threshold equals `q_threshold`'s, bit for bit.
     """
-    return _detect_ranks(model, _as_traffic(y, model.m), ranks, beta)
-
-
-def _detect_ranks(
-    model: SubspaceModel, y: np.ndarray, ranks: Iterable[int], beta: float
-) -> list[DetectionReport]:
+    y = _traffic(y, model.m).y
     ranks = list(ranks)
     if not ranks:
         raise ValueError("ranks must be nonempty")
@@ -513,25 +499,12 @@ def detect_method(
         raise ValueError("ranks must be nonempty")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return _detect_method(method, _Traffic(y), ranks, seed, beta, power_exponent, kinds, center)
-
-
-def _detect_method(
-    method: str,
-    traffic: _Traffic,
-    ranks: list[int],
-    seed: SeedSpec,
-    beta: float,
-    power_exponent: int,
-    kinds: Iterable[EnsembleKind] | None,
-    center: bool,
-) -> list[DetectionReport]:
-    """`detect_method` on traffic that is already validated."""
+    traffic = _traffic(y)
     if method == METHOD_PCA:
-        models = [_pca_model(traffic, ranks[0])]
+        models = [build_pca_model(traffic, ranks[0])]
     elif method == METHOD_RBAD:
-        models = [_rbad_model(traffic, ranks[0], seed, power_exponent, center)]
+        models = [build_rbad_model(traffic, ranks[0], seed, power_exponent, center)]
     else:
-        models = _sspbad_candidates(traffic, ranks[0], seed, kinds, center)
-    per_model = [_detect_ranks(model, traffic.y, ranks, beta) for model in models]
+        models = build_sspbad_candidates(traffic, ranks[0], seed, kinds, center)
+    per_model = [detect_ranks(model, traffic, ranks, beta) for model in models]
     return [sspbad_select(at_rank) for at_rank in zip(*per_model)]

@@ -23,11 +23,11 @@ from .detectors import (
     METHOD_SSPBAD,
     METHODS,
     DetectionReport,
-    _detect_method,
-    _pca_model,
-    _rbad_model,
-    _sspbad_candidates,
     _Traffic,
+    build_pca_model,
+    build_rbad_model,
+    build_sspbad_candidates,
+    detect_method,
 )
 from .ensembles import EnsembleKind, SeedSpec
 from .traffic import ScenarioConfig, assemble_scenario
@@ -157,7 +157,7 @@ def variance_compare(
     variance.
     """
     traffic = _Traffic(y)
-    pca = _pca_model(traffic, rank)
+    pca = build_pca_model(traffic, rank)
     reference = pca.variances[:rank]
     zero = np.flatnonzero(reference <= 1e-12 * reference[0])
     if zero.size:
@@ -165,8 +165,8 @@ def variance_compare(
             f"rank {rank} exceeds the traffic's directions of variance: pca eigenvalue "
             f"{zero[0] + 1} of {rank} (counting from 1) is {reference[zero[0]]:.3g}, numerically zero"
         )
-    rbad = _rbad_model(traffic, rank, seed.split(_RBAD_STREAM), power_exponent, center=True)
-    candidates = _sspbad_candidates(traffic, rank, seed.split(_SSPBAD_STREAM), kinds, center=True)
+    rbad = build_rbad_model(traffic, rank, seed.split(_RBAD_STREAM), power_exponent, center=True)
+    candidates = build_sspbad_candidates(traffic, rank, seed.split(_SSPBAD_STREAM), kinds, center=True)
     columns: dict[str, np.ndarray] = {METHOD_PCA: pca.variances, METHOD_RBAD: rbad.variances}
     for model in candidates:
         columns[f"{METHOD_SSPBAD}-{model.ensemble.value}"] = model.variances
@@ -251,7 +251,8 @@ def _run_trial(
     rows = []
     for method in methods:
         seed = trial_seed.split(_DETECTOR_STREAMS.get(method, _RBAD_STREAM))
-        reports = _detect_method(method, traffic, rank_grid, seed, beta, power_exponent, kinds, center)
+        reports = detect_method(method, traffic, rank_grid, seed, beta=beta,
+                                power_exponent=power_exponent, kinds=kinds, center=center)
         for rank, report in zip(rank_grid, reports):
             counts = score(report, labels)
             rows.append(

@@ -198,7 +198,7 @@ class TestBuildRbadModel:
         model = build_rbad_model(y, 1, SeedSpec(34))
         energies = []
         for rank in range(1, 12):
-            _, y_tilde = project(model.with_rank(rank), y)
+            _, y_tilde = project(dataclasses.replace(model, rank=rank), y)
             energies.append(np.sum(y_tilde**2))
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
@@ -295,8 +295,9 @@ class TestProject:
 
     def test_shape_mismatch_rejected(self):
         model = build_pca_model(np.random.default_rng(15).normal(size=(6, 20)), 2)
-        with pytest.raises(ValueError, match="rows"):
-            project(model, np.ones((7, 20)))
+        for y in (np.ones((7, 20)), detectors._Traffic(np.ones((7, 20)))):
+            with pytest.raises(ValueError, match="rows"):
+                project(model, y)
 
 
 class TestQThreshold:
@@ -357,6 +358,14 @@ class TestQThreshold:
     def test_beta_domain(self):
         with pytest.raises(ValueError, match="beta"):
             q_threshold([2.0, 1.0], 1, 0.0)
+        # 1 - 1e-17 rounds to 1.0, whose normal quantile is undefined
+        y = np.random.default_rng(25).normal(size=(6, 30))
+        for call in (
+            lambda: q_threshold([2.0, 1.0], 1, 1e-17),
+            lambda: detect(build_pca_model(y, 2), y, beta=1e-17),
+        ):
+            with pytest.raises(ValueError, match="1 - beta rounds below 1, got 1e-17"):
+                call()
 
     def test_overflowing_spectrum_is_degenerate_not_assertion(self):
         # theta2 and theta3 overflow to inf, so h0 is NaN
@@ -528,7 +537,7 @@ class TestDetectRanks:
             reports = detect_ranks(model, sc.y, REFERENCE_GRID)
             assert len(reports) == len(REFERENCE_GRID)
             for rank, report in zip(REFERENCE_GRID, reports):
-                want = detect(model.with_rank(rank), sc.y)
+                want = detect(dataclasses.replace(model, rank=rank), sc.y)
                 np.testing.assert_allclose(report.spe, want.spe, rtol=1e-12, atol=0)
                 np.testing.assert_array_equal(report.flags, want.flags)
                 assert report.threshold == want.threshold
@@ -542,9 +551,9 @@ class TestDetectRanks:
             reports = detect_ranks(model, y, grid)
             assert [r.model_summary.rank for r in reports] == grid
             # SPE(r) = SPE(lo) - ...: roundoff is absolute, on the scale of SPE(lo)
-            scale = np.max(detect(model.with_rank(min(grid)), y).spe)
+            scale = np.max(detect(dataclasses.replace(model, rank=min(grid)), y).spe)
             for rank, report in zip(grid, reports):
-                want = detect(model.with_rank(rank), y)
+                want = detect(dataclasses.replace(model, rank=rank), y)
                 np.testing.assert_allclose(report.spe, want.spe, rtol=1e-12, atol=1e-12 * scale)
                 np.testing.assert_array_equal(report.flags, want.flags)
 
@@ -555,8 +564,9 @@ class TestDetectRanks:
             detect_ranks(model, y, [])
         with pytest.raises(ValueError, match="rank"):
             detect_ranks(model, y, [2, 6])
-        with pytest.raises(ValueError, match="rows"):
-            detect_ranks(model, y[:5], [2])
+        for short in (y[:5], detectors._Traffic(y[:5])):
+            with pytest.raises(ValueError, match="rows"):
+                detect_ranks(model, short, [2])
         with pytest.raises(ValueError, match="nonempty"):
             detect_method("pca", y, [], SeedSpec(1))
         with pytest.raises(ValueError, match="unknown method 'rpca'"):
@@ -632,6 +642,44 @@ class TestDetectRanks:
             (report,) = detect_ranks(model, y, [4])
             np.testing.assert_array_equal(report.spe, want)
             np.testing.assert_array_equal(detect(model, y).spe, want)
+
+
+class TestSharedTraffic:
+    """Every public function that reads traffic gives, for a validated and
+    reduced `_Traffic`, the bits it gives for that `_Traffic`'s array."""
+
+    def test_same_bits_as_the_array(self):
+        sc = assemble_scenario(ScenarioConfig(seed=SeedSpec(605)))
+        traffic = detectors._Traffic(sc.y)
+        seed = SeedSpec(606)
+        for center in (False, True):
+            fits = [
+                lambda y: [build_pca_model(y, 8)],
+                lambda y: [build_rbad_model(y, 8, seed, center=center)],
+                lambda y: build_sspbad_candidates(y, 8, seed, center=center),
+            ]
+            for fit in fits:
+                for got, want in zip(fit(traffic), fit(sc.y), strict=True):
+                    np.testing.assert_array_equal(got.basis, want.basis)
+                    np.testing.assert_array_equal(got.variances, want.variances)
+                    _assert_same_reports(detect_ranks(want, traffic, REFERENCE_GRID),
+                                         detect_ranks(want, sc.y, REFERENCE_GRID))
+                    for part, expected in zip(project(want, traffic), project(want, sc.y)):
+                        np.testing.assert_array_equal(part, expected)
+            for method in ("pca", "rbad", "sspbad"):
+                _assert_same_reports(
+                    detect_method(method, traffic, REFERENCE_GRID, seed, center=center),
+                    detect_method(method, sc.y, REFERENCE_GRID, seed, center=center),
+                )
+
+
+def _assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for report, expected in zip(got, want):
+        np.testing.assert_array_equal(report.spe, expected.spe)
+        np.testing.assert_array_equal(report.flags, expected.flags)
+        assert report.threshold == expected.threshold
+        assert report.model_summary == expected.model_summary
 
 
 def _with_nan(y):

@@ -1,6 +1,7 @@
 """Scoring and experiment-harness tests: confusion arithmetic, the
 combined detection-rate measure, variance tables, and sweep determinism."""
 
+import collections
 import dataclasses
 import json
 import threading
@@ -279,6 +280,21 @@ class TestTrialWorkingSet:
         monkeypatch.setattr(detectors, "center_rows", center)
         evaluation._run_trial(SMALL, 0, *self.ARGS, False)
         assert alive_at_fit == [[False] * 4]
+
+    def test_fits_and_detects_through_the_public_functions(self, monkeypatch):
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **kw: calls.update([name]) or real(*a, **kw))
+
+        count(evaluation, "detect_method")
+        for name in ("build_pca_model", "build_rbad_model", "build_sspbad_candidates", "detect_ranks"):
+            count(detectors, name)
+        evaluation._run_trial(SMALL, 0, *self.ARGS, False)
+        # one detect_ranks per model: pca, rbad and the 4 sspbad candidates
+        assert calls == {"detect_method": 3, "build_pca_model": 1, "build_rbad_model": 1,
+                         "build_sspbad_candidates": 1, "detect_ranks": 6}
 
     @pytest.mark.parametrize("master_seed", [7, 1704])
     def test_rows_equal_per_method_detection(self, master_seed):
