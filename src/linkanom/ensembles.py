@@ -89,8 +89,8 @@ def _check_shape(rows: int, cols: int) -> None:
 def gen_gaussian(rows: int, cols: int, seed: SeedSpec, stddev: float = 1.0) -> np.ndarray:
     """i.i.d. N(0, stddev^2) entries."""
     _check_shape(rows, cols)
-    if stddev <= 0.0:
-        raise ValueError(f"stddev must be positive, got {stddev}")
+    if not 0.0 < stddev < np.inf:
+        raise ValueError(f"stddev must be positive and finite, got {stddev}")
     return seed.generator().normal(0.0, stddev, size=(rows, cols))
 
 

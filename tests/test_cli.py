@@ -75,6 +75,14 @@ class TestGenerate:
         assert "No space left" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variance", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_variance_rejected(self, tmp_path, capsys, variance):
+        out = tmp_path / "scen"
+        assert main(["generate", *SMALL_ARGS, f"--noise-variance={variance}",
+                     "--output", str(out)]) == 1
+        assert "noise_variance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["generate", *SMALL_ARGS, "--output", str(a)])

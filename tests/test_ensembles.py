@@ -58,8 +58,9 @@ class TestGaussian:
         assert 0.9 <= sample.var() <= 1.1
 
     def test_bad_stddev(self):
-        with pytest.raises(ValueError, match="stddev"):
-            gen_gaussian(2, 2, SEED, 0.0)
+        for stddev in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="stddev"):
+                gen_gaussian(2, 2, SEED, stddev)
 
 
 class TestBernoulli:

@@ -269,7 +269,11 @@ class TestTrialWorkingSet:
 
         def assemble(cfg):
             scenario = real_assemble(cfg)
-            refs.extend(weakref.ref(getattr(scenario, name)) for name in ("x", "a", "v", "routing"))
+            # every array the scenario stores but Y and the labels
+            stored = [getattr(scenario, f.name) for f in dataclasses.fields(scenario)
+                      if f.name not in ("y", "labels", "config")]
+            assert len(stored) == 6
+            refs.extend(weakref.ref(array) for array in stored)
             return scenario
 
         def center(y):
@@ -279,7 +283,7 @@ class TestTrialWorkingSet:
         monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
         monkeypatch.setattr(detectors, "center_rows", center)
         evaluation._run_trial(SMALL, 0, *self.ARGS, False)
-        assert alive_at_fit == [[False] * 4]
+        assert alive_at_fit == [[False] * 6]
 
     def test_fits_and_detects_through_the_public_functions(self, monkeypatch):
         calls = collections.Counter()

@@ -2,6 +2,7 @@
 label semantics, and seed isolation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from linkanom.ensembles import SeedSpec
 from linkanom.linalg import sym_eig
 from linkanom.traffic import (
+    _ANOMALIES,
+    _FLOWS,
     Scenario,
     ScenarioConfig,
     anomaly_labels,
@@ -100,7 +103,7 @@ class TestAssembleScenario:
     def test_noiseless_anomaly_free_is_low_rank_routing_product(self):
         cfg = dataclasses.replace(SMALL, noise_variance=0.0, anomaly_count=0)
         sc = assemble_scenario(cfg)
-        np.testing.assert_array_equal(sc.y, sc.routing @ sc.x)
+        np.testing.assert_array_equal(sc.y, (sc.routing @ sc.u) @ sc.w.T + sc.v)
         assert gram_rank(sc.y) <= cfg.r_true
 
     def test_reference_dimensions(self):
@@ -112,13 +115,35 @@ class TestAssembleScenario:
 
     def test_reassembly_is_exact(self):
         sc = assemble_scenario(SMALL)
-        assert np.linalg.norm(sc.y - (sc.routing @ (sc.x + sc.a) + sc.v)) == 0.0
+        want = (sc.routing @ sc.u) @ sc.w.T + sc.routing @ sc.a + sc.v
+        assert np.linalg.norm(sc.y - want) == 0.0
 
     def test_noiseless_reassembly_with_anomalies_is_exact(self):
         sc = assemble_scenario(dataclasses.replace(SMALL, noise_variance=0.0))
         assert sc.labels.any() and not sc.v.any()
-        np.testing.assert_array_equal(sc.y, sc.routing @ (sc.x + sc.a) + sc.v)
+        want = (sc.routing @ sc.u) @ sc.w.T + sc.routing @ sc.a + sc.v
+        np.testing.assert_array_equal(sc.y, want)
         assert not np.signbit(sc.y[sc.y == 0.0]).any()  # -0.0 + 0.0 is +0.0, as before
+
+    @pytest.mark.parametrize("cfg", [SMALL, ScenarioConfig(seed=SeedSpec(7, 3))])
+    def test_draws_are_those_of_gen_flows_and_gen_anomalies(self, cfg):
+        sc = assemble_scenario(cfg)
+        x = gen_flows(cfg.n, cfg.t, cfg.r_true, cfg.seed.split(_FLOWS))
+        a, labels = gen_anomalies(cfg.n, cfg.t, cfg.anomaly_count, cfg.seed.split(_ANOMALIES))
+        for got, want in ((sc.x, x), (sc.a, a), (sc.labels, labels)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_assembly_allocates_no_flow_sized_array(self):
+        # m << n: an n x t array would dwarf everything a scenario needs
+        cfg = ScenarioConfig(m=24, n=480, t=1000, anomaly_count=24, seed=SeedSpec(3))
+        tracemalloc.start()
+        try:
+            sc = assemble_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sc.labels.any()
+        assert peak < cfg.n * cfg.t * 8
 
     def test_labels_match_anomaly_columns(self):
         sc = assemble_scenario(SMALL)
@@ -152,8 +177,9 @@ class TestAssembleScenario:
             ScenarioConfig(n=10, t=10, r_true=11)
         with pytest.raises(ValueError, match="anomaly_count"):
             ScenarioConfig(anomaly_count=-1)
-        with pytest.raises(ValueError, match="noise_variance"):
-            ScenarioConfig(noise_variance=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_variance"):
+                ScenarioConfig(noise_variance=bad)
 
     def test_scenario_carries_its_config(self):
         sc = assemble_scenario(SMALL)
