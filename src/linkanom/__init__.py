@@ -21,7 +21,6 @@ from .detectors import (
     detect,
     detect_method,
     detect_ranks,
-    normal_quantile,
     project,
     q_threshold,
     spe_per_snapshot,
@@ -51,7 +50,6 @@ from .evaluation import (
 )
 from .linalg import (
     EigenDecomposition,
-    center_rows,
     householder_qr,
     row_variance,
     sym_eig,
@@ -60,11 +58,8 @@ from .storage import read_matrix_csv, write_matrix_csv
 from .traffic import (
     Scenario,
     ScenarioConfig,
-    anomaly_labels,
     assemble_scenario,
     default_anomaly_count,
-    gen_anomalies,
-    gen_flows,
 )
 
 __version__ = "0.1.0"

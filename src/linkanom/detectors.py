@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .ensembles import EnsembleKind, SeedSpec, ensemble_matrix, gen_gaussian
-from .linalg import center_rows, householder_qr, sym_eig
+from .linalg import householder_qr, sym_eig
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -33,7 +33,6 @@ __all__ = [
     "QThreshold",
     "ModelSummary",
     "DetectionReport",
-    "normal_quantile",
     "build_pca_model",
     "build_rbad_model",
     "build_sspbad_candidates",
@@ -130,17 +129,11 @@ def _check_rows(rows: int, m: int | None) -> None:
 
 
 def _check_rank(rank: int, m: int) -> None:
+    if not isinstance(rank, (int, np.integer)):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     # rank m would leave an empty residual subspace and an undefined Q_beta
     if not 1 <= rank <= m - 1:
         raise ValueError(f"rank must be in [1, m-1] = [1, {m - 1}], got {rank}")
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse CDF of the standard normal distribution for p in (0, 1):
-    Wichura's AS241 through `statistics.NormalDist`, to about 1e-16."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    return NormalDist().inv_cdf(p)
 
 
 class _Moments(NamedTuple):
@@ -173,7 +166,8 @@ class _Traffic:
         if self._reduced is None:
             if t < 2:
                 raise ValueError(f"need at least 2 snapshots to estimate a covariance, got {t}")
-            centered, mu = center_rows(self.y)
+            mu = self.y.mean(axis=1)
+            centered = self.y - mu[:, None]
             self._reduced = mu, centered @ centered.T / (t - 1)
         mu, covariance = self._reduced
         if center:
@@ -327,16 +321,14 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     Q_beta = theta1 * (c_beta*sqrt(2*theta2*h0^2)/theta1 + 1
              + theta2*h0*(h0-1)/theta1^2)^(1/h0)
     with c_beta the (1-beta) standard-normal quantile.
+
+    A malformed spectrum, rank or beta raises ValueError; a spectrum that
+    admits no threshold at this rank raises DegenerateSpectrumError.
     """
     variances = np.asarray(variances, dtype=float)
+    if variances.ndim != 1:
+        raise ValueError(f"variances must be 1-D, got shape {variances.shape}")
     _check_rank(rank, variances.shape[0])
-    clipped = _clipped_spectrum(variances, beta)
-    theta, h0 = _theta_h0(clipped, rank)
-    return _threshold(theta, h0, normal_quantile(1.0 - beta), beta)
-
-
-def _clipped_spectrum(variances: np.ndarray, beta: float) -> np.ndarray:
-    """The validated variance spectrum with its roundoff negatives set to 0."""
     if not np.isfinite(variances).all():
         raise ValueError("variances contain non-finite values (NaN or inf)")
     if not 0.0 < beta < 1.0:
@@ -344,20 +336,15 @@ def _clipped_spectrum(variances: np.ndarray, beta: float) -> np.ndarray:
     if 1.0 - beta == 1.0:  # c_beta, the (1 - beta) quantile, would be infinite
         raise ValueError(f"beta must exceed 2**-54 so that 1 - beta rounds below 1, got {beta}")
     scale = max(abs(variances[0]), 1.0)
-    if np.any(np.diff(variances) > 1e-10 * scale):
+    if (variances[1:] - variances[:-1] > 1e-10 * scale).any():
         raise ValueError("variances must be sorted in descending order")
     # eigenvalues of a singular covariance (t <= m) come out at -eps*lambda_1
-    if np.any(variances < -1e-12 * scale):
+    if (variances < -1e-12 * scale).any():
         raise ValueError("variances must be nonnegative up to roundoff (-1e-12 * max(lambda_1, 1))")
-    return np.maximum(variances, 0.0)
-
-
-def _theta_h0(clipped: np.ndarray, rank: int) -> tuple[tuple[float, float, float], float]:
-    """theta_1..3 of the residual spectrum past `rank`, and h0."""
-    residual = clipped[rank:]
-    theta1 = float(np.sum(residual))
-    theta2 = float(np.sum(residual**2))
-    theta3 = float(np.sum(residual**3))
+    residual = np.maximum(variances, 0.0)[rank:]
+    theta1 = float(residual.sum())
+    theta2 = float((residual**2).sum())
+    theta3 = float((residual**3).sum())
     if theta2**2 == 0.0:  # also for theta2 ~ 1e-160, whose square (h0's denominator) underflows
         raise DegenerateSpectrumError("degenerate residual spectrum: no residual variance")
     h0 = 1.0 - 2.0 * theta1 * theta3 / (3.0 * theta2**2)
@@ -369,11 +356,7 @@ def _theta_h0(clipped: np.ndarray, rank: int) -> tuple[tuple[float, float, float
         )
     if abs(h0) < 1e-12:
         raise DegenerateSpectrumError("degenerate residual spectrum: h0 is numerically zero")
-    return (theta1, theta2, theta3), h0
-
-
-def _threshold(theta: tuple[float, float, float], h0: float, c_beta: float, beta: float) -> QThreshold:
-    theta1, theta2, _ = theta
+    c_beta = NormalDist().inv_cdf(1.0 - beta)
     base = c_beta * math.sqrt(2.0 * theta2 * h0 * h0) / theta1 + 1.0 + theta2 * h0 * (h0 - 1.0) / theta1**2
     inv_h0 = 1.0 / h0
     if base > 0.0:
@@ -387,7 +370,7 @@ def _threshold(theta: tuple[float, float, float], h0: float, c_beta: float, beta
         raise DegenerateSpectrumError("threshold undefined for this spectrum: nonpositive base")
     return QThreshold(
         q_beta=theta1 * power,
-        theta=theta,
+        theta=(theta1, theta2, theta3),
         h0=h0,
         c_beta=c_beta,
         beta=beta,
@@ -422,8 +405,7 @@ def detect_ranks(
     so each further normal column removes its own coordinate:
     SPE(r) = SPE(lo) - sum_{lo <= i < r} z_i^2, exact up to a roundoff of
     order eps * SPE(lo). For a single rank this is the arithmetic of
-    `project`, bit for bit. The spectrum is validated and c_beta computed
-    once; each rank's threshold equals `q_threshold`'s, bit for bit.
+    `project`, bit for bit. Each rank's threshold is `q_threshold`'s.
     """
     y = _traffic(y, model.m).y
     ranks = list(ranks)
@@ -439,16 +421,11 @@ def detect_ranks(
     np.subtract(work, residual, out=residual)
     spe_lo = np.sum(np.square(residual, out=residual), axis=0)
     removed = np.cumsum(z[lo:] ** 2, axis=0)
-    clipped = _clipped_spectrum(model.variances, beta)
-    c_beta = None  # only a nondegenerate rank needs it
     reports = []
     for rank in ranks:
         spe = spe_lo if rank == lo else spe_lo - removed[rank - lo - 1]
         try:
-            theta, h0 = _theta_h0(clipped, rank)
-            if c_beta is None:
-                c_beta = normal_quantile(1.0 - beta)
-            threshold = _threshold(theta, h0, c_beta, beta)
+            threshold = q_threshold(model.variances, rank, beta)
         except DegenerateSpectrumError:
             threshold = None
         flags = np.zeros(spe.shape[0], dtype=bool) if threshold is None else spe > threshold.q_beta

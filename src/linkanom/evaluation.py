@@ -304,6 +304,8 @@ def sweep_rank(
     if not rank_grid:
         raise ValueError("rank_grid must be nonempty")
     for i, rank in enumerate(rank_grid):
+        if not isinstance(rank, (int, np.integer)):
+            raise ValueError(f"rank grid values must be integers, got {rank!r}")
         if not 1 <= rank <= cfg.m - 1:
             raise ValueError(f"rank grid values must be in [1, m-1] = [1, {cfg.m - 1}], got {rank}")
         if rank in rank_grid[:i]:

@@ -17,7 +17,6 @@ __all__ = [
     "householder_qr",
     "sym_eig",
     "row_variance",
-    "center_rows",
 ]
 
 
@@ -113,11 +112,3 @@ def row_variance(m) -> np.ndarray:
         raise ValueError(f"row_variance needs at least 2 columns, got {m.shape[1]}")
     return np.var(m, axis=1, ddof=1)
 
-
-def center_rows(y) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract each row's mean; returns (centered, mu)."""
-    y = _as_matrix(y, "y")
-    if y.shape[1] < 1:
-        raise ValueError("center_rows needs at least 1 column")
-    mu = y.mean(axis=1)
-    return y - mu[:, None], mu

@@ -6,10 +6,15 @@ unit-magnitude anomalies) onto links, and V adds i.i.d. Gaussian
 measurement noise. Ground-truth labels mark the snapshots (columns)
 touched by at least one anomaly.
 
-A scenario is assembled from its draws, X = U W^T and A's entries, as
-Y = (R U) W^T + R A + V, so no n x t matrix is formed. This differs from
-R (X + A) + V by roundoff only; R, X, A, V and the labels are the bits
-gen_bernoulli, gen_flows, gen_anomalies and gen_gaussian draw.
+X = U W^T has rank r_true, with U (n x r_true) drawn N(0, 1/n) and W
+(t x r_true) drawn N(0, 1/t). A has exactly anomaly_count nonzeros at
+uniform positions (without replacement), each +1 or -1 with equal
+probability. R (gen_bernoulli), U and W, A's entries and V (gen_gaussian)
+each draw from their own substream of the seed.
+
+A scenario is assembled from these draws as Y = (R U) W^T + R A + V, so
+no n x t matrix is formed. This differs from R (X + A) + V by roundoff
+only.
 """
 
 from __future__ import annotations
@@ -24,9 +29,6 @@ __all__ = [
     "ScenarioConfig",
     "Scenario",
     "default_anomaly_count",
-    "gen_flows",
-    "gen_anomalies",
-    "anomaly_labels",
     "assemble_scenario",
 ]
 
@@ -95,57 +97,15 @@ class Scenario:
 
     @property
     def a(self) -> np.ndarray:
-        return _dense_anomalies(self.config.n, self.config.t, self.anomaly_positions,
-                                self.anomaly_values)
-
-
-def _flow_factors(n: int, t: int, r_true: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 <= r_true <= min(n, t):
-        raise ValueError(f"r_true must be in [0, min(n, t)] = [0, {min(n, t)}], got {r_true}")
-    rng = seed.generator()
-    u = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, r_true))
-    w = rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, r_true))
-    return u, w
-
-
-def gen_flows(n: int, t: int, r_true: int, seed: SeedSpec) -> np.ndarray:
-    """Rank-r_true flow matrix X = U W^T with U (n x r_true) drawn
-    N(0, 1/n) and W (t x r_true) drawn N(0, 1/t)."""
-    u, w = _flow_factors(n, t, r_true, seed)
-    return u @ w.T
-
-
-def anomaly_labels(a: np.ndarray) -> np.ndarray:
-    """True for every column holding at least one nonzero entry."""
-    return np.any(np.asarray(a) != 0.0, axis=0)
-
-
-def _anomaly_entries(n: int, t: int, s: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 <= s <= n * t:
-        raise ValueError(f"anomaly count must be in [0, n*t] = [0, {n * t}], got {s}")
-    rng = seed.generator()
-    positions = rng.choice(n * t, size=s, replace=False)
-    return positions, rng.integers(0, 2, size=s) * 2.0 - 1.0
-
-
-def _dense_anomalies(n: int, t: int, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-    a = np.zeros(n * t)
-    a[positions] = values
-    return a.reshape(n, t)
+        a = np.zeros(self.config.n * self.config.t)
+        a[self.anomaly_positions] = self.anomaly_values
+        return a.reshape(self.config.n, self.config.t)
 
 
 def _entry_labels(t: int, positions: np.ndarray) -> np.ndarray:
     labels = np.zeros(t, dtype=bool)
     labels[positions % t] = True
     return labels
-
-
-def gen_anomalies(n: int, t: int, s: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse n x t anomaly matrix with exactly s nonzeros at uniform
-    positions (without replacement), values equiprobably +/-1; returns
-    (a, labels)."""
-    positions, values = _anomaly_entries(n, t, s, seed)
-    return _dense_anomalies(n, t, positions, values), _entry_labels(t, positions)
 
 
 def _add_routed_anomalies(y: np.ndarray, routing: np.ndarray, positions: np.ndarray,
@@ -169,16 +129,20 @@ def assemble_scenario(cfg: ScenarioConfig) -> Scenario:
     those of that sum taken left to right with routing @ a formed densely;
     they differ from routing @ (x + a) + v by roundoff.
     """
-    u, w = _flow_factors(cfg.n, cfg.t, cfg.r_true, cfg.seed.split(_FLOWS))
-    routing = gen_bernoulli(cfg.m, cfg.n, cfg.routing_density, cfg.seed.split(_ROUTING))
-    positions, values = _anomaly_entries(cfg.n, cfg.t, cfg.anomaly_count,
-                                         cfg.seed.split(_ANOMALIES))
+    n, t = cfg.n, cfg.t
+    rng = cfg.seed.split(_FLOWS).generator()
+    u = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, cfg.r_true))
+    w = rng.normal(0.0, 1.0 / np.sqrt(t), size=(t, cfg.r_true))
+    routing = gen_bernoulli(cfg.m, n, cfg.routing_density, cfg.seed.split(_ROUTING))
+    rng = cfg.seed.split(_ANOMALIES).generator()
+    positions = rng.choice(n * t, size=cfg.anomaly_count, replace=False)
+    values = rng.integers(0, 2, size=cfg.anomaly_count) * 2.0 - 1.0
     y = (routing @ u) @ w.T
     _add_routed_anomalies(y, routing, positions, values)
     if cfg.noise_variance > 0.0:
-        v = gen_gaussian(cfg.m, cfg.t, cfg.seed.split(_NOISE), np.sqrt(cfg.noise_variance))
+        v = gen_gaussian(cfg.m, t, cfg.seed.split(_NOISE), np.sqrt(cfg.noise_variance))
     else:
-        v = np.zeros((cfg.m, cfg.t))
+        v = np.zeros((cfg.m, t))
     y += v
     return Scenario(y=y, routing=routing, u=u, w=w, anomaly_positions=positions,
-                    anomaly_values=values, v=v, labels=_entry_labels(cfg.t, positions), config=cfg)
+                    anomaly_values=values, v=v, labels=_entry_labels(t, positions), config=cfg)

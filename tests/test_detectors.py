@@ -5,6 +5,7 @@ and the candidate-selection rule."""
 import dataclasses
 import itertools
 import math
+import re
 import subprocess
 import sys
 
@@ -26,7 +27,6 @@ from linkanom.detectors import (
     detect,
     detect_method,
     detect_ranks,
-    normal_quantile,
     project,
     q_threshold,
     spe_per_snapshot,
@@ -34,6 +34,7 @@ from linkanom.detectors import (
     sspbad_select,
 )
 from linkanom.ensembles import EnsembleKind, SeedSpec
+from linkanom.evaluation import sweep_rank
 from linkanom.linalg import row_variance
 from linkanom.traffic import ScenarioConfig, assemble_scenario
 
@@ -54,21 +55,30 @@ def scalar_q_oracle(residual, beta):
 
 
 class TestNormalQuantile:
+    """c_beta, the (1 - beta) standard-normal quantile of `q_threshold`."""
+
+    # many equal residual variances keep the base of Q_beta positive even
+    # for the most negative c_beta on the grid
+    SPECTRUM = [2.0] + [1.0] * 10_000
+
+    def c_beta(self, beta):
+        return q_threshold(self.SPECTRUM, 1, beta).c_beta
+
     def test_against_scipy_grid(self):
-        for p in np.concatenate([np.geomspace(1e-12, 0.02, 25), np.linspace(0.02, 0.98, 50),
-                                 1 - np.geomspace(1e-12, 0.02, 25)]):
-            assert abs(normal_quantile(float(p)) - ndtri(p)) < 1e-12
+        for beta in np.concatenate([np.geomspace(1e-12, 0.02, 25), np.linspace(0.02, 0.98, 50),
+                                    1 - np.geomspace(1e-12, 0.02, 25)]):
+            assert abs(self.c_beta(float(beta)) - ndtri(1.0 - beta)) < 1e-12
 
     def test_reference_percentile(self):
-        assert normal_quantile(0.995) == pytest.approx(2.5758293035489004, abs=1e-12)
+        assert self.c_beta(0.005) == pytest.approx(2.5758293035489004, abs=1e-12)
 
     def test_symmetry(self):
-        assert normal_quantile(0.25) == pytest.approx(-normal_quantile(0.75), abs=1e-14)
+        assert self.c_beta(0.75) == pytest.approx(-self.c_beta(0.25), abs=1e-14)
 
     def test_domain(self):
-        for p in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                normal_quantile(p)
+        for beta in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="beta"):
+                self.c_beta(beta)
 
 
 class TestBuildPcaModel:
@@ -380,6 +390,11 @@ class TestQThreshold:
         with pytest.raises(ValueError, match="nonnegative"):
             q_threshold([1e6, 5e5, 2e5, -1e-5], 1, 0.005)
 
+    def test_non_1d_variances_rejected(self):
+        for variances, shape in (([[3.0, 2.0], [1.0, 0.5]], r"\(2, 2\)"), (3.0, r"\(\)")):
+            with pytest.raises(ValueError, match=rf"variances must be 1-D, got shape {shape}"):
+                q_threshold(variances, 1, 0.005)
+
     def test_non_finite_variances_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             q_threshold([3.0, np.nan, 1.0], 1, 0.005)
@@ -573,16 +588,11 @@ class TestDetectRanks:
             detect_method("rpca", y, [2], SeedSpec(1))
 
     @pytest.mark.parametrize("stream", [0, 1])
-    def test_thresholds_are_q_threshold_from_one_quantile(self, monkeypatch, stream):
+    def test_thresholds_are_q_threshold_from_one_quantile(self, stream):
         sc, models = _reference_models(stream)
-        quantiles = []
-        real = detectors.normal_quantile
-        monkeypatch.setattr(detectors, "normal_quantile", lambda p: quantiles.append(p) or real(p))
         for model in models:
             for beta in (0.005, 0.05):
-                quantiles.clear()
                 reports = detect_ranks(model, sc.y, REFERENCE_GRID, beta)
-                assert quantiles == [1.0 - beta]
                 for rank, report in zip(REFERENCE_GRID, reports):
                     assert report.threshold == q_threshold(model.variances, rank, beta)
 
@@ -707,6 +717,32 @@ class TestInputValidation:
         inf[0, 0] = np.inf
         with pytest.raises(ValueError, match="1 non-finite"):
             detect(model, inf)
+
+    def test_non_integer_ranks_rejected(self):
+        y = np.random.default_rng(47).normal(size=(8, 40))
+        model = build_pca_model(y, 2)
+        cfg = ScenarioConfig(m=12, n=24, t=40, r_true=3, anomaly_count=4, seed=SeedSpec(48))
+        calls = [
+            (lambda: build_pca_model(y, 2.5), 2.5),
+            (lambda: build_rbad_model(y, 2.0, SeedSpec(1)), 2.0),
+            (lambda: build_sspbad_candidates(y, np.float64(2.0), SeedSpec(1)), np.float64(2.0)),
+            (lambda: dataclasses.replace(model, rank=2.5), 2.5),
+            (lambda: detect_ranks(model, y, [1, 2.0]), 2.0),
+            (lambda: q_threshold(model.variances, 2.0, 0.005), 2.0),
+            (lambda: sweep_rank(cfg, ["pca"], [4.0], 1), 4.0),
+        ]
+        for call, value in calls:
+            with pytest.raises(ValueError, match=rf"integers?, got {re.escape(repr(value))}$"):
+                call()
+        # numpy integers are ranks
+        rank = np.int64(2)
+        assert build_pca_model(y, rank).rank == 2
+        reports = detect_ranks(model, y, [np.int32(1), rank])
+        assert [report.threshold for report in reports] == [
+            q_threshold(model.variances, r, 0.005) for r in (1, 2)
+        ]
+        rows, _ = sweep_rank(cfg, ["pca"], [rank], 1)
+        assert rows[0].rank == 2
 
     def test_one_dimensional_traffic_rejected(self):
         with pytest.raises(ValueError, match="2-D"):

@@ -257,15 +257,21 @@ class TestTrialWorkingSet:
 
     @pytest.mark.parametrize("center", [False, True])
     def test_one_reduction_per_trial(self, monkeypatch, center):
-        calls = []
-        real = detectors.center_rows
-        monkeypatch.setattr(detectors, "center_rows", lambda y: calls.append(1) or real(y))
+        reductions = []
+        real = detectors._Traffic.moments
+
+        def moments(traffic, center):
+            if traffic._reduced is None:
+                reductions.append(traffic)
+            return real(traffic, center)
+
+        monkeypatch.setattr(detectors._Traffic, "moments", moments)
         evaluation._run_trial(SMALL, 0, *self.ARGS, center)
-        assert len(calls) == 1
+        assert len(reductions) == 1
 
     def test_scenario_dead_before_first_fit(self, monkeypatch):
         refs, alive_at_fit = [], []
-        real_assemble, real_center = evaluation.assemble_scenario, detectors.center_rows
+        real_assemble, real_moments = evaluation.assemble_scenario, detectors._Traffic.moments
 
         def assemble(cfg):
             scenario = real_assemble(cfg)
@@ -276,12 +282,13 @@ class TestTrialWorkingSet:
             refs.extend(weakref.ref(array) for array in stored)
             return scenario
 
-        def center(y):
-            alive_at_fit.append([ref() is not None for ref in refs])
-            return real_center(y)
+        def moments(traffic, center):
+            if traffic._reduced is None:
+                alive_at_fit.append([ref() is not None for ref in refs])
+            return real_moments(traffic, center)
 
         monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
-        monkeypatch.setattr(detectors, "center_rows", center)
+        monkeypatch.setattr(detectors._Traffic, "moments", moments)
         evaluation._run_trial(SMALL, 0, *self.ARGS, False)
         assert alive_at_fit == [[False] * 6]
 

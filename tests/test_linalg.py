@@ -6,7 +6,6 @@ import pytest
 
 from linkanom.linalg import (
     _fix_column_signs,
-    center_rows,
     householder_qr,
     row_variance,
     sym_eig,
@@ -102,7 +101,7 @@ class TestSymEig:
     def test_covariance_eigenvalues_nonnegative_and_trace(self):
         rng = np.random.default_rng(8)
         y = rng.normal(size=(25, 80))
-        centered, _ = center_rows(y)
+        centered = y - y.mean(axis=1, keepdims=True)
         cov = centered @ centered.T / 79
         eig = sym_eig(cov)
         assert (eig.eigenvalues >= -1e-10).all()
@@ -173,34 +172,12 @@ class TestRowVariance:
             row_variance(np.ones((3, 1)))
 
 
-class TestCenterRows:
-    def test_hand_checked(self):
-        centered, mu = center_rows(np.array([[1.0, 3.0]]))
-        np.testing.assert_array_equal(centered, [[-1.0, 1.0]])
-        np.testing.assert_array_equal(mu, [2.0])
-
-    def test_zero_mean_rows_unchanged(self):
-        y = np.array([[1.0, -1.0], [2.0, -2.0]])
-        centered, mu = center_rows(y)
-        np.testing.assert_array_equal(centered, y)
-        np.testing.assert_array_equal(mu, [0.0, 0.0])
-
-    def test_idempotent_at_reference_scale(self):
-        rng = np.random.default_rng(12)
-        y = rng.normal(5.0, 2.0, size=(120, 640))
-        centered, _ = center_rows(y)
-        assert np.max(np.abs(centered.sum(axis=1))) <= 1e-10 * 640
-        again, mu2 = center_rows(centered)
-        np.testing.assert_allclose(again, centered, atol=1e-12)
-        assert np.max(np.abs(mu2)) <= 1e-12
-
-
 class TestCrossKernelInvariants:
     def test_variance_identity_projected_traffic(self):
         # row variances of W^T (Y - mu) equal the covariance eigenvalues
         rng = np.random.default_rng(13)
         y = rng.normal(size=(30, 200))
-        centered, _ = center_rows(y)
+        centered = y - y.mean(axis=1, keepdims=True)
         cov = centered @ centered.T / 199
         eig = sym_eig(0.5 * (cov + cov.T))
         projected_var = row_variance(eig.eigenvectors.T @ centered)

@@ -14,11 +14,9 @@ from linkanom.traffic import (
     _FLOWS,
     Scenario,
     ScenarioConfig,
-    anomaly_labels,
+    _entry_labels,
     assemble_scenario,
     default_anomaly_count,
-    gen_anomalies,
-    gen_flows,
 )
 
 SEED = SeedSpec(77, 1)
@@ -37,66 +35,72 @@ def gram_rank(x, rel_tol=1e-10):
 
 
 class TestGenFlows:
+    """The flows X = U W^T of an assembled scenario."""
+
     def test_zero_rank_gives_zero_matrix(self):
-        np.testing.assert_array_equal(gen_flows(10, 12, 0, SEED), np.zeros((10, 12)))
+        sc = assemble_scenario(ScenarioConfig(m=5, n=10, t=12, r_true=0, anomaly_count=0, seed=SEED))
+        np.testing.assert_array_equal(sc.x, np.zeros((10, 12)))
 
     def test_numerical_rank_equals_r_true(self):
-        x = gen_flows(30, 40, 7, SEED)
-        assert gram_rank(x) == 7
+        sc = assemble_scenario(ScenarioConfig(m=5, n=30, t=40, r_true=7, anomaly_count=0, seed=SEED))
+        assert gram_rank(sc.x) == 7
 
     def test_energy_concentrates_at_r_true(self):
         # E||X||_F^2 = n*t*r*(1/n)*(1/t) = r; 20-seed mean lands within
         # 5 sigma of 24 (per-draw std ~0.54 measured by Monte-Carlo pilot)
         energies = [
-            float(np.sum(gen_flows(240, 640, 24, SeedSpec(1234, s)) ** 2)) for s in range(20)
+            float(np.sum(assemble_scenario(ScenarioConfig(seed=SeedSpec(1234, s))).x ** 2))
+            for s in range(20)
         ]
         assert 23.4 <= np.mean(energies) <= 24.6
 
     def test_rank_exceeding_dims_rejected(self):
         with pytest.raises(ValueError, match="r_true"):
-            gen_flows(10, 12, 11, SEED)
+            ScenarioConfig(n=10, t=12, r_true=11)
 
 
 class TestGenAnomalies:
+    """The anomalies A and labels of an assembled scenario."""
+
     def test_zero_count(self):
-        a, labels = gen_anomalies(8, 9, 0, SEED)
-        assert not a.any()
-        assert not labels.any()
+        sc = assemble_scenario(ScenarioConfig(m=5, n=8, t=9, r_true=2, anomaly_count=0, seed=SEED))
+        assert not sc.a.any()
+        assert not sc.labels.any()
 
     def test_reference_count_is_exact(self):
         # density 0.001 of the 120x640 grid, rounded: 77 nonzeros
         assert default_anomaly_count(120, 640) == 77
-        a, labels = gen_anomalies(240, 640, 77, SEED)
+        a = assemble_scenario(ScenarioConfig(seed=SEED)).a
         assert np.count_nonzero(a) == 77
         assert set(np.unique(a[a != 0.0])) <= {-1.0, 1.0}
 
     def test_label_count_bounded_by_pigeonhole(self):
-        a, labels = gen_anomalies(240, 640, 77, SEED)
-        assert labels.sum() <= 77
-        columns_hit = np.unique(np.nonzero(a)[1])
-        assert labels.sum() == columns_hit.shape[0]
+        sc = assemble_scenario(ScenarioConfig(seed=SEED))
+        assert sc.labels.sum() <= 77
+        columns_hit = np.unique(np.nonzero(sc.a)[1])
+        assert sc.labels.sum() == columns_hit.shape[0]
 
     def test_labels_exact_when_columns_distinct(self):
-        a, labels = gen_anomalies(50, 400, 5, SeedSpec(3))
-        if np.unique(np.nonzero(a)[1]).shape[0] == 5:
-            assert labels.sum() == 5
+        sc = assemble_scenario(ScenarioConfig(m=10, n=50, t=400, anomaly_count=5, seed=SeedSpec(3)))
+        if np.unique(np.nonzero(sc.a)[1]).shape[0] == 5:
+            assert sc.labels.sum() == 5
 
     def test_count_too_large_rejected(self):
-        with pytest.raises(ValueError, match="anomaly count"):
-            gen_anomalies(3, 3, 10, SEED)
+        with pytest.raises(ValueError, match="anomaly_count"):
+            ScenarioConfig(n=3, t=3, r_true=1, anomaly_count=10)
 
     def test_flipping_one_zero_entry_flips_at_most_one_label(self):
-        a, labels = gen_anomalies(20, 30, 8, SEED)
+        cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=8, seed=SEED)
+        sc = assemble_scenario(cfg)
         rng = np.random.default_rng(0)
-        zeros = np.argwhere(a == 0.0)
-        for i, j in zeros[rng.choice(zeros.shape[0], size=25, replace=False)]:
-            mutated = a.copy()
-            mutated[i, j] = rng.choice([-1.0, 1.0])
-            new_labels = anomaly_labels(mutated)
-            changed = np.flatnonzero(new_labels != labels)
+        zeros = np.flatnonzero(sc.a == 0.0)
+        for flat in zeros[rng.choice(zeros.shape[0], size=25, replace=False)]:
+            new_labels = _entry_labels(cfg.t, np.append(sc.anomaly_positions, flat))
+            changed = np.flatnonzero(new_labels != sc.labels)
             assert changed.shape[0] <= 1
             if changed.shape[0] == 1:
-                assert changed[0] == j and new_labels[j] and not labels[j]
+                j = flat % cfg.t
+                assert changed[0] == j and new_labels[j] and not sc.labels[j]
 
 
 class TestAssembleScenario:
@@ -127,10 +131,18 @@ class TestAssembleScenario:
 
     @pytest.mark.parametrize("cfg", [SMALL, ScenarioConfig(seed=SeedSpec(7, 3))])
     def test_draws_are_those_of_gen_flows_and_gen_anomalies(self, cfg):
+        # redraws what gen_flows and gen_anomalies drew: U, W from the flow
+        # substream, then the anomaly positions and signs from their own
         sc = assemble_scenario(cfg)
-        x = gen_flows(cfg.n, cfg.t, cfg.r_true, cfg.seed.split(_FLOWS))
-        a, labels = gen_anomalies(cfg.n, cfg.t, cfg.anomaly_count, cfg.seed.split(_ANOMALIES))
-        for got, want in ((sc.x, x), (sc.a, a), (sc.labels, labels)):
+        rng = cfg.seed.split(_FLOWS).generator()
+        u = rng.normal(0.0, 1.0 / np.sqrt(cfg.n), size=(cfg.n, cfg.r_true))
+        w = rng.normal(0.0, 1.0 / np.sqrt(cfg.t), size=(cfg.t, cfg.r_true))
+        rng = cfg.seed.split(_ANOMALIES).generator()
+        positions = rng.choice(cfg.n * cfg.t, size=cfg.anomaly_count, replace=False)
+        values = rng.integers(0, 2, size=cfg.anomaly_count) * 2.0 - 1.0
+        labels = np.any(sc.a != 0.0, axis=0)
+        for got, want in ((sc.u, u), (sc.w, w), (sc.anomaly_positions, positions),
+                          (sc.anomaly_values, values), (sc.x, sc.u @ sc.w.T), (sc.labels, labels)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_assembly_allocates_no_flow_sized_array(self):
