@@ -23,7 +23,6 @@ from .detectors import (
     detect_ranks,
     project,
     q_threshold,
-    spe_per_snapshot,
     sspbad_detect,
     sspbad_select,
 )

@@ -27,9 +27,8 @@ from .ensembles import EnsembleKind, SeedSpec
 from .evaluation import sweep_rank, variance_compare
 from .storage import (
     _all_or_none,
+    _read_traffic,
     read_config_file,
-    read_labels_csv,
-    read_matrix_csv,
     read_scenario,
     write_config_file,
     write_scenario,
@@ -175,11 +174,7 @@ def _load_traffic(cfg: dict[str, Any], need_labels: bool) -> tuple[np.ndarray, n
     if cfg.get("y"):
         if need_labels and not cfg.get("labels"):
             raise ValueError("--y requires --labels (or use --input with a scenario directory)")
-        y = read_matrix_csv(cfg["y"])
-        labels = read_labels_csv(cfg["labels"]) if cfg.get("labels") else None
-        if labels is not None and labels.shape[0] != y.shape[1]:
-            raise ValueError(f"{labels.shape[0]} labels do not match {y.shape[1]} snapshots")
-        return y, labels
+        return _read_traffic(cfg["y"], cfg.get("labels") or None)
     raise ValueError("no input given: pass --input SCENARIO_DIR or --y MATRIX_CSV")
 
 

@@ -24,8 +24,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleKind, SeedSpec, ensemble_matrix, gen_gaussian
-from .linalg import householder_qr, sym_eig
+from .ensembles import EnsembleKind, SeedSpec, _check_int, ensemble_matrix, gen_gaussian
+from .linalg import _as_matrix, householder_qr, sym_eig
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -38,7 +38,6 @@ __all__ = [
     "build_sspbad_candidates",
     "project",
     "q_threshold",
-    "spe_per_snapshot",
     "detect",
     "detect_ranks",
     "sspbad_select",
@@ -123,17 +122,14 @@ class DetectionReport:
         return self.threshold is None
 
 
-def _check_rows(rows: int, m: int | None) -> None:
-    if m is not None and rows != m:
-        raise ValueError(f"traffic has {rows} rows but the model basis has {m}")
-
-
-def _check_rank(rank: int, m: int) -> None:
-    if not isinstance(rank, (int, np.integer)):
-        raise ValueError(f"rank must be an integer, got {rank!r}")
+def _check_rank(rank: int, m: int, name: str = "rank") -> None:
     # rank m would leave an empty residual subspace and an undefined Q_beta
-    if not 1 <= rank <= m - 1:
-        raise ValueError(f"rank must be in [1, m-1] = [1, {m - 1}], got {rank}")
+    _check_int(name, rank, 1, m - 1)
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 class _Moments(NamedTuple):
@@ -145,20 +141,13 @@ class _Moments(NamedTuple):
 
 
 class _Traffic:
-    """Traffic validated as a finite float matrix with one row per link (m
-    rows when m is given; ValueError names what is wrong), and its row means
-    and covariance, reduced on the first fit and shared by every model
-    fitted to it afterwards."""
+    """Traffic validated as a finite float matrix with one row per link
+    (ValueError names what is wrong), and its row means and covariance,
+    reduced on the first fit and shared by every model fitted to it
+    afterwards."""
 
-    def __init__(self, y, m: int | None = None) -> None:
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 2:
-            raise ValueError(f"traffic y must be 2-D (links x snapshots), got ndim={y.ndim}")
-        _check_rows(y.shape[0], m)
-        bad = np.count_nonzero(~np.isfinite(y))
-        if bad:
-            raise ValueError(f"traffic y has {bad} non-finite values (NaN or inf)")
-        self.y = y
+    def __init__(self, y) -> None:
+        self.y = _as_matrix(y, "traffic y")
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
 
     def moments(self, center: bool) -> _Moments:
@@ -182,10 +171,11 @@ def _traffic(y, m: int | None = None) -> _Traffic:
     """`y` as a `_Traffic` (m rows when m is given). A `_Traffic` from an
     earlier call is kept, with its validation and any reduction, so every
     fit and detection on it shares them; anything else is validated anew."""
-    if not isinstance(y, _Traffic):
-        return _Traffic(y, m)
-    _check_rows(y.y.shape[0], m)
-    return y
+    traffic = y if isinstance(y, _Traffic) else _Traffic(y)
+    rows = traffic.y.shape[0]
+    if m is not None and rows != m:
+        raise ValueError(f"traffic has {rows} rows but the model basis has {m}")
+    return traffic
 
 
 def _ranked_basis_model(
@@ -249,8 +239,7 @@ def build_rbad_model(
     traffic = _traffic(y)
     m, t = traffic.y.shape
     _check_rank(rank, m)
-    if power_exponent < 0:
-        raise ValueError(f"power_exponent must be nonnegative, got {power_exponent}")
+    _check_int("power_exponent", power_exponent, 0)
     moments = traffic.moments(center)
     # uncentered, the sketch reads Y itself rather than a copy of Y - 0
     b = (traffic.y - moments.mean[:, None] if center else traffic.y) @ gen_gaussian(t, m, seed, 1.0)
@@ -377,13 +366,6 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     )
 
 
-def spe_per_snapshot(y_tilde: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each residual column (one value per
-    snapshot); summing the sequence gives the matrix-level SPE."""
-    y_tilde = np.asarray(y_tilde, dtype=float)
-    return np.sum(y_tilde * y_tilde, axis=0)
-
-
 def detect(model: SubspaceModel, y: np.ndarray, beta: float = DEFAULT_BETA) -> DetectionReport:
     """Project, score each snapshot's residual, and flag SPE > Q_beta.
 
@@ -474,8 +456,7 @@ def detect_method(
     ranks = list(ranks)
     if not ranks:
         raise ValueError("ranks must be nonempty")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     traffic = _traffic(y)
     if method == METHOD_PCA:
         models = [build_pca_model(traffic, ranks[0])]

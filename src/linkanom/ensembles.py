@@ -25,6 +25,17 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """The one rule for integer parameters: ValueError naming `name` unless
+    `value` is an int or numpy integer in [lo, hi] (no upper bound when hi
+    is None)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
 class EnsembleKind(enum.Enum):
     """The four random-matrix families the switched detector cycles through.
 
@@ -64,12 +75,10 @@ class SeedSpec:
     branch: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
-        if self.stream_index < 0:
-            raise ValueError(f"stream_index must be nonnegative, got {self.stream_index}")
-        if any(label < 0 for label in self.branch):
-            raise ValueError(f"branch labels must be nonnegative, got {self.branch}")
+        _check_int("master_seed", self.master_seed, 0, 2**64 - 1)
+        _check_int("stream_index", self.stream_index, 0)
+        for label in self.branch:
+            _check_int("branch label", label, 0)
 
     def split(self, *labels: int) -> "SeedSpec":
         """Derive a child stream guaranteed disjoint from every other
@@ -82,8 +91,8 @@ class SeedSpec:
 
 
 def _check_shape(rows: int, cols: int) -> None:
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
+    _check_int("rows", rows, 1)
+    _check_int("cols", cols, 1)
 
 
 def gen_gaussian(rows: int, cols: int, seed: SeedSpec, stddev: float = 1.0) -> np.ndarray:

@@ -21,15 +21,16 @@ from .detectors import (
     METHOD_PCA,
     METHOD_RBAD,
     METHOD_SSPBAD,
-    METHODS,
     DetectionReport,
+    _check_method,
+    _check_rank,
     _Traffic,
     build_pca_model,
     build_rbad_model,
     build_sspbad_candidates,
     detect_method,
 )
-from .ensembles import EnsembleKind, SeedSpec
+from .ensembles import EnsembleKind, SeedSpec, _check_int
 from .traffic import ScenarioConfig, assemble_scenario
 
 __all__ = [
@@ -297,23 +298,19 @@ def sweep_rank(
     methods = list(methods)
     if not methods:
         raise ValueError("methods must be nonempty")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    for i, method in enumerate(methods):
+        _check_method(method)
+        if method in methods[:i]:
+            raise ValueError(f"methods repeat method {method!r}")
     rank_grid = list(rank_grid)
     if not rank_grid:
         raise ValueError("rank_grid must be nonempty")
     for i, rank in enumerate(rank_grid):
-        if not isinstance(rank, (int, np.integer)):
-            raise ValueError(f"rank grid values must be integers, got {rank!r}")
-        if not 1 <= rank <= cfg.m - 1:
-            raise ValueError(f"rank grid values must be in [1, m-1] = [1, {cfg.m - 1}], got {rank}")
+        _check_rank(rank, cfg.m, "rank grid value")
         if rank in rank_grid[:i]:
             raise ValueError(f"rank grid repeats rank {rank}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_int("trials", trials, 1)
+    _check_int("workers", workers, 1)
     kinds = None if kinds is None else list(kinds)  # every trial reads it, so no generator
 
     def run(trial: int) -> list[MetricRow]:

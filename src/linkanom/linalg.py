@@ -24,8 +24,10 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite values (NaN or inf)")
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = finite.size - np.count_nonzero(finite)
+        raise ValueError(f"{name} has {bad} non-finite values (NaN or inf)")
     return a
 
 

@@ -186,13 +186,22 @@ def write_scenario(scenario: Scenario, directory: str | Path) -> list[Path]:
     return [directory / name for name, _, _ in contents]
 
 
+def _read_traffic(y_path: str | Path, labels_path: str | Path | None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """A traffic matrix CSV and, when labels_path is given, its labels,
+    which must number one per snapshot."""
+    y = read_matrix_csv(y_path)
+    if labels_path is None:
+        return y, None
+    labels = read_labels_csv(labels_path)
+    if labels.shape[0] != y.shape[1]:
+        raise ValueError(
+            f"{labels_path}: {labels.shape[0]} labels do not match {y.shape[1]} snapshots"
+        )
+    return y, labels
+
+
 def read_scenario(directory: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read back the traffic matrix and labels of a scenario directory."""
     directory = Path(directory)
-    y = read_matrix_csv(directory / "Y.csv")
-    labels = read_labels_csv(directory / "labels.csv")
-    if labels.shape[0] != y.shape[1]:
-        raise ValueError(
-            f"{directory}: {labels.shape[0]} labels do not match {y.shape[1]} snapshots"
-        )
-    return y, labels
+    return _read_traffic(directory / "Y.csv", directory / "labels.csv")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import SeedSpec, gen_bernoulli, gen_gaussian
+from .ensembles import SeedSpec, _check_int, gen_bernoulli, gen_gaussian
 
 __all__ = [
     "ScenarioConfig",
@@ -56,14 +56,12 @@ class ScenarioConfig:
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
 
     def __post_init__(self) -> None:
-        if min(self.m, self.n, self.t) < 1:
-            raise ValueError(f"dimensions must be positive, got m={self.m} n={self.n} t={self.t}")
-        if not 0 <= self.r_true <= min(self.n, self.t):
-            raise ValueError(f"r_true must be in [0, min(n, t)], got {self.r_true}")
+        for name in ("m", "n", "t"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("r_true", self.r_true, 0, min(self.n, self.t))
         if not 0.0 <= self.routing_density <= 1.0:
             raise ValueError(f"routing_density must be in [0, 1], got {self.routing_density}")
-        if not 0 <= self.anomaly_count <= self.n * self.t:
-            raise ValueError(f"anomaly_count must be in [0, n*t], got {self.anomaly_count}")
+        _check_int("anomaly_count", self.anomaly_count, 0, self.n * self.t)
         if not 0.0 <= self.noise_variance < np.inf:
             raise ValueError(
                 f"noise_variance must be nonnegative and finite, got {self.noise_variance}"

@@ -257,6 +257,13 @@ class TestErrorSurface:
                      "--output", str(tmp_path / "out")]) == 1
         assert "unknown method" in capsys.readouterr().err
 
+    def test_repeated_sweep_method(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", *SMALL_ARGS, "--method", "pca,pca", "--rank-grid", "4",
+                     "--trials", "1", "--output", str(out)]) == 1
+        assert "repeat method 'pca'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("turbo = yes\n")

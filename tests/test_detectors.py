@@ -29,7 +29,6 @@ from linkanom.detectors import (
     detect_ranks,
     project,
     q_threshold,
-    spe_per_snapshot,
     sspbad_detect,
     sspbad_select,
 )
@@ -401,16 +400,12 @@ class TestQThreshold:
 
 
 class TestSpe:
-    def test_zero_column(self):
-        spe = spe_per_snapshot(np.array([[0.0, 3.0], [0.0, 4.0]]))
-        np.testing.assert_array_equal(spe, [0.0, 25.0])
-
     def test_quadratic_form_oracle(self):
         rng = np.random.default_rng(17)
         y = rng.normal(size=(12, 40))
         model = build_pca_model(y, 5)
         _, y_tilde = project(model, y)
-        spe = spe_per_snapshot(y_tilde)
+        spe = np.sum(y_tilde * y_tilde, axis=0)
         p = model.basis[:, :5]
         c_tilde = np.eye(12) - p @ p.T
         centered = y - model.mean[:, None]
@@ -418,10 +413,6 @@ class TestSpe:
             col = centered[:, j]
             want = col @ c_tilde @ col
             assert spe[j] == pytest.approx(want, rel=1e-9)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(18)
-        assert (spe_per_snapshot(rng.normal(size=(7, 23))) >= 0).all()
 
 
 class TestDetect:
@@ -648,7 +639,8 @@ class TestDetectRanks:
         for model in (build_rbad_model(y, 4, SeedSpec(45)), build_pca_model(y, 4)):
             work = y - model.mean[:, None] if model.centered else y
             p = model.basis[:, :4]
-            want = spe_per_snapshot(work - p @ (p.T @ work))
+            residual = work - p @ (p.T @ work)
+            want = np.sum(residual * residual, axis=0)
             (report,) = detect_ranks(model, y, [4])
             np.testing.assert_array_equal(report.spe, want)
             np.testing.assert_array_equal(detect(model, y).spe, want)
@@ -723,18 +715,27 @@ class TestInputValidation:
         model = build_pca_model(y, 2)
         cfg = ScenarioConfig(m=12, n=24, t=40, r_true=3, anomaly_count=4, seed=SeedSpec(48))
         calls = [
-            (lambda: build_pca_model(y, 2.5), 2.5),
-            (lambda: build_rbad_model(y, 2.0, SeedSpec(1)), 2.0),
-            (lambda: build_sspbad_candidates(y, np.float64(2.0), SeedSpec(1)), np.float64(2.0)),
-            (lambda: dataclasses.replace(model, rank=2.5), 2.5),
-            (lambda: detect_ranks(model, y, [1, 2.0]), 2.0),
-            (lambda: q_threshold(model.variances, 2.0, 0.005), 2.0),
-            (lambda: sweep_rank(cfg, ["pca"], [4.0], 1), 4.0),
+            (lambda: build_pca_model(y, 2.5), "rank", 2.5),
+            (lambda: build_rbad_model(y, 2.0, SeedSpec(1)), "rank", 2.0),
+            (lambda: build_sspbad_candidates(y, np.float64(2.0), SeedSpec(1)), "rank",
+             np.float64(2.0)),
+            (lambda: dataclasses.replace(model, rank=2.5), "rank", 2.5),
+            (lambda: detect_ranks(model, y, [1, 2.0]), "rank", 2.0),
+            (lambda: q_threshold(model.variances, 2.0, 0.005), "rank", 2.0),
+            (lambda: sweep_rank(cfg, ["pca"], [4.0], 1), "rank grid value", 4.0),
+            (lambda: build_rbad_model(y, 2, SeedSpec(1), power_exponent=1.5),
+             "power_exponent", 1.5),
+            (lambda: detect_method("rbad", y, [2], SeedSpec(1), power_exponent=1.5),
+             "power_exponent", 1.5),
+            (lambda: SeedSpec(1.5), "master_seed", 1.5),
+            (lambda: SeedSpec(1, 0.5), "stream_index", 0.5),
+            (lambda: SeedSpec(1).split(2.0), "branch label", 2.0),
         ]
-        for call, value in calls:
-            with pytest.raises(ValueError, match=rf"integers?, got {re.escape(repr(value))}$"):
+        for call, name, value in calls:
+            message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
                 call()
-        # numpy integers are ranks
+        # numpy integers are ranks, power exponents and seeds
         rank = np.int64(2)
         assert build_pca_model(y, rank).rank == 2
         reports = detect_ranks(model, y, [np.int32(1), rank])
@@ -743,6 +744,11 @@ class TestInputValidation:
         ]
         rows, _ = sweep_rank(cfg, ["pca"], [rank], 1)
         assert rows[0].rank == 2
+        seed = SeedSpec(np.uint64(1), np.int32(0)).split(np.int64(3))
+        np.testing.assert_array_equal(seed.generator().random(4),
+                                      SeedSpec(1, 0, (3,)).generator().random(4))
+        rbad = build_rbad_model(y, 2, seed, power_exponent=np.int64(1))
+        np.testing.assert_array_equal(rbad.basis, build_rbad_model(y, 2, seed, 1).basis)
 
     def test_one_dimensional_traffic_rejected(self):
         with pytest.raises(ValueError, match="2-D"):

@@ -241,12 +241,32 @@ class TestSweepRank:
         for workers in (0, -5):
             with pytest.raises(ValueError, match="workers"):
                 sweep_rank(SMALL, ["pca"], [6], trials=1, workers=workers)
+        with pytest.raises(ValueError, match=r"^trials must be an integer, got 1.5$"):
+            sweep_rank(SMALL, ["pca"], [6], trials=1.5)
+        with pytest.raises(ValueError, match=r"^workers must be an integer, got 1.5$"):
+            sweep_rank(SMALL, ["pca"], [6], trials=1, workers=1.5)
+        with pytest.raises(ValueError, match="repeat method 'pca'"):
+            sweep_rank(SMALL, ["pca", "rbad", "pca"], [6], trials=1)
+        # numpy integers are trial and worker counts
+        want, _ = sweep_rank(SMALL, ["pca"], [6], trials=2)
+        got, _ = sweep_rank(SMALL, ["pca"], [6], trials=np.int64(2), workers=np.int64(2))
+        assert got == want
 
     def test_kinds_may_be_a_generator(self):
         kinds = [k for k in EnsembleKind if k is not EnsembleKind.MARKOV]
         want, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=kinds)
         got, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=(k for k in kinds))
         assert got == want
+
+    @pytest.mark.parametrize("trials, workers", [(2, 4), (6, 3)])
+    def test_pool_runs_at_most_min_of_workers_and_trials(self, monkeypatch, trials, workers):
+        # the pool starts a thread per submitted trial, up to `workers`
+        idents = set()
+        real = evaluation._run_trial
+        monkeypatch.setattr(evaluation, "_run_trial",
+                            lambda *a: idents.add(threading.get_ident()) or real(*a))
+        sweep_rank(SMALL, ["pca"], [6], trials=trials, workers=workers)
+        assert len(idents) <= min(workers, trials)
 
 
 class TestTrialWorkingSet:

@@ -189,6 +189,18 @@ class TestAssembleScenario:
             ScenarioConfig(n=10, t=10, r_true=11)
         with pytest.raises(ValueError, match="anomaly_count"):
             ScenarioConfig(anomaly_count=-1)
+        for name in ("m", "n", "t"):
+            with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got 0$"):
+                ScenarioConfig(**{name: 0})
+        for name in ("m", "n", "t", "r_true", "anomaly_count"):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2.5$"):
+                ScenarioConfig(**{name: 2.5})
+        # numpy integers are sizes: the same scenario, bit for bit
+        sizes = {name: np.int64(getattr(SMALL, name))
+                 for name in ("m", "n", "t", "r_true", "anomaly_count")}
+        np.testing.assert_array_equal(
+            assemble_scenario(dataclasses.replace(SMALL, **sizes)).y, assemble_scenario(SMALL).y
+        )
         for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise_variance"):
                 ScenarioConfig(noise_variance=bad)
