@@ -32,8 +32,6 @@ from .ensembles import (
     ensemble_matrix,
     gen_bernoulli,
     gen_gaussian,
-    gen_markov,
-    gen_rademacher,
 )
 from .evaluation import (
     ConfusionCounts,
@@ -47,12 +45,7 @@ from .evaluation import (
     true_positive_rate,
     variance_compare,
 )
-from .linalg import (
-    EigenDecomposition,
-    householder_qr,
-    row_variance,
-    sym_eig,
-)
+from .linalg import householder_qr, sym_eig
 from .storage import read_matrix_csv, write_matrix_csv
 from .traffic import (
     Scenario,

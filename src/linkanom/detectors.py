@@ -210,10 +210,10 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
     traffic = _traffic(y)
     _check_rank(rank, traffic.y.shape[0])
     moments = traffic.moments(center=True)
-    eig = sym_eig(moments.covariance)
+    eigenvalues, eigenvectors = sym_eig(moments.covariance)
     return SubspaceModel(
-        basis=eig.eigenvectors,
-        variances=eig.eigenvalues,
+        basis=eigenvectors,
+        variances=eigenvalues,
         rank=rank,
         method=METHOD_PCA,
         centered=True,
@@ -307,12 +307,14 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
 
     theta_i = sum of residual variances to the i-th power,
     h0 = 1 - 2*theta1*theta3 / (3*theta2^2), and
-    Q_beta = theta1 * (c_beta*sqrt(2*theta2*h0^2)/theta1 + 1
-             + theta2*h0*(h0-1)/theta1^2)^(1/h0)
+    Q_beta = theta1 * base^(1/h0), where
+    base = c_beta*sign(h0)*sqrt(2*theta2*h0^2)/theta1 + 1
+           + theta2*h0*(h0-1)/theta1^2
     with c_beta the (1-beta) standard-normal quantile.
 
     A malformed spectrum, rank or beta raises ValueError; a spectrum that
-    admits no threshold at this rank raises DegenerateSpectrumError.
+    admits no threshold at this rank (base <= 0 included) raises
+    DegenerateSpectrumError.
     """
     variances = np.asarray(variances, dtype=float)
     if variances.ndim != 1:
@@ -346,19 +348,16 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     if abs(h0) < 1e-12:
         raise DegenerateSpectrumError("degenerate residual spectrum: h0 is numerically zero")
     c_beta = NormalDist().inv_cdf(1.0 - beta)
-    base = c_beta * math.sqrt(2.0 * theta2 * h0 * h0) / theta1 + 1.0 + theta2 * h0 * (h0 - 1.0) / theta1**2
-    inv_h0 = 1.0 / h0
-    if base > 0.0:
-        power = base**inv_h0
-    elif base < 0.0 and inv_h0.is_integer():
-        # real power still defined for an integer exponent
-        power = abs(base) ** inv_h0
-        if int(inv_h0) % 2:
-            power = -power
-    else:
+    # (Q/theta1)^h0 is near normal, and for h0 < 0 it falls as Q rises: the
+    # upper tail of Q is its lower tail, so the spread takes h0's sign (an
+    # unsigned spread puts Q_beta below the median of the SPE)
+    spread = math.copysign(math.sqrt(2.0 * theta2 * h0 * h0), h0)
+    base = c_beta * spread / theta1 + 1.0 + theta2 * h0 * (h0 - 1.0) / theta1**2
+    # the power of a base <= 0 is no threshold: (Q/theta1)^h0 is positive
+    if not base > 0.0:
         raise DegenerateSpectrumError("threshold undefined for this spectrum: nonpositive base")
     return QThreshold(
-        q_beta=theta1 * power,
+        q_beta=theta1 * base ** (1.0 / h0),
         theta=(theta1, theta2, theta3),
         h0=h0,
         c_beta=c_beta,
@@ -457,6 +456,7 @@ def detect_method(
     if not ranks:
         raise ValueError("ranks must be nonempty")
     _check_method(method)
+    _check_int("power_exponent", power_exponent, 0)  # checked for pca too, which ignores it
     traffic = _traffic(y)
     if method == METHOD_PCA:
         models = [build_pca_model(traffic, ranks[0])]

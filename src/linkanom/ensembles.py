@@ -19,8 +19,6 @@ __all__ = [
     "SeedSpec",
     "gen_gaussian",
     "gen_bernoulli",
-    "gen_markov",
-    "gen_rademacher",
     "ensemble_matrix",
 ]
 
@@ -28,8 +26,9 @@ __all__ = [
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
     """The one rule for integer parameters: ValueError naming `name` unless
     `value` is an int or numpy integer in [lo, hi] (no upper bound when hi
-    is None)."""
-    if not isinstance(value, (int, np.integer)):
+    is None). A bool is not an integer here, though Python's bool is an
+    int subclass (numpy's bool_ is no np.integer)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
@@ -111,31 +110,24 @@ def gen_bernoulli(rows: int, cols: int, p: float, seed: SeedSpec) -> np.ndarray:
     return (seed.generator().random(size=(rows, cols)) < p).astype(float)
 
 
-def gen_markov(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
-    """Column-stochastic matrix: nonnegative entries, every column sums to 1.
-
-    Built by normalizing i.i.d. uniforms drawn from (0, 1], so no column
-    can be all-zero.
-    """
-    _check_shape(rows, cols)
-    u = 1.0 - seed.generator().random(size=(rows, cols))
-    return u / u.sum(axis=0)
-
-
-def gen_rademacher(rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
-    """i.i.d. entries drawn equiprobably from {-1, +1}."""
-    _check_shape(rows, cols)
-    return seed.generator().integers(0, 2, size=(rows, cols)) * 2.0 - 1.0
-
-
 def ensemble_matrix(kind: EnsembleKind, rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
-    """Draw one matrix from the given ensemble family."""
+    """Draw one matrix from the given ensemble family:
+
+    * gaussian       -- i.i.d. N(0, 1) entries;
+    * bernoulli-half -- i.i.d. {0, 1} entries, each 1 with probability 1/2;
+    * markov         -- column-stochastic: i.i.d. uniforms on (0, 1], each
+                        column normalized to sum 1 (no column is all-zero);
+    * rademacher     -- i.i.d. entries drawn equiprobably from {-1, +1}.
+    """
     if kind is EnsembleKind.GAUSSIAN:
         return gen_gaussian(rows, cols, seed, 1.0)
     if kind is EnsembleKind.BERNOULLI_HALF:
         return gen_bernoulli(rows, cols, 0.5, seed)
     if kind is EnsembleKind.MARKOV:
-        return gen_markov(rows, cols, seed)
+        _check_shape(rows, cols)
+        u = 1.0 - seed.generator().random(size=(rows, cols))
+        return u / u.sum(axis=0)
     if kind is EnsembleKind.RADEMACHER:
-        return gen_rademacher(rows, cols, seed)
+        _check_shape(rows, cols)
+        return seed.generator().integers(0, 2, size=(rows, cols)) * 2.0 - 1.0
     raise ValueError(f"unknown ensemble kind: {kind!r}")

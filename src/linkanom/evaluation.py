@@ -61,10 +61,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass(frozen=True)
 class MetricRow:
@@ -309,6 +305,7 @@ def sweep_rank(
         _check_rank(rank, cfg.m, "rank grid value")
         if rank in rank_grid[:i]:
             raise ValueError(f"rank grid repeats rank {rank}")
+    _check_int("power_exponent", power_exponent, 0)
     _check_int("trials", trials, 1)
     _check_int("workers", workers, 1)
     kinds = None if kinds is None else list(kinds)  # every trial reads it, so no generator

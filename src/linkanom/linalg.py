@@ -1,6 +1,6 @@
 """Dense real-matrix kernels: Householder QR and symmetric
 eigendecomposition (LAPACK through numpy, under a deterministic sign
-convention), row statistics.
+convention).
 
 All matrices are 2-D, finite float64 numpy arrays. Every function here is
 pure; inputs are never mutated.
@@ -8,15 +8,11 @@ pure; inputs are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "householder_qr",
     "sym_eig",
-    "row_variance",
 ]
 
 
@@ -29,15 +25,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         bad = finite.size - np.count_nonzero(finite)
         raise ValueError(f"{name} has {bad} non-finite values (NaN or inf)")
     return a
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted descending; column j of eigenvectors pairs with
-    eigenvalues[j]."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:
@@ -66,13 +53,14 @@ def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:
 _SYMMETRY_TOL = 1e-10
 
 
-def sym_eig(s) -> EigenDecomposition:
+def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix (LAPACK syevd through
     numpy's eigh).
 
-    Eigenvalues come back sorted descending; eigenvector columns are
-    orthonormal with the first nonzero entry of each column positive, so
-    the output is deterministic for a given input.
+    Returns (eigenvalues, eigenvectors): eigenvalues sorted descending,
+    column j of eigenvectors paired with eigenvalues[j]. The columns are
+    orthonormal with the first nonzero entry of each positive, so the
+    output is deterministic for a given input.
     """
     s = _as_matrix(s, "s")
     n, n2 = s.shape
@@ -91,7 +79,7 @@ def sym_eig(s) -> EigenDecomposition:
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
     _fix_column_signs(vectors)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+    return eigenvalues, vectors
 
 
 def _fix_column_signs(vectors: np.ndarray) -> None:
@@ -105,12 +93,3 @@ def _fix_column_signs(vectors: np.ndarray) -> None:
     lead = np.argmax(nonzero, axis=0)
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
     vectors[:, flip] *= -1.0
-
-
-def row_variance(m) -> np.ndarray:
-    """Unbiased sample variance of each row across columns (divisor cols-1)."""
-    m = _as_matrix(m, "m")
-    if m.shape[1] < 2:
-        raise ValueError(f"row_variance needs at least 2 columns, got {m.shape[1]}")
-    return np.var(m, axis=1, ddof=1)
-

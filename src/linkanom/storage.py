@@ -167,9 +167,9 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def write_scenario(scenario: Scenario, directory: str | Path) -> list[Path]:
+def write_scenario(scenario: Scenario, directory: str | Path) -> None:
     """Write one CSV per scenario matrix plus the label column, all or
-    none; returns the written paths (config echoing is the CLI's job)."""
+    none (config echoing is the CLI's job)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     contents = (
@@ -183,7 +183,6 @@ def write_scenario(scenario: Scenario, directory: str | Path) -> list[Path]:
     with _all_or_none():
         for name, writer, data in contents:
             writer(data, directory / name)
-    return [directory / name for name, _, _ in contents]
 
 
 def _read_traffic(y_path: str | Path, labels_path: str | Path | None

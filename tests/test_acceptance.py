@@ -30,12 +30,16 @@ from linkanom.evaluation import (
     sweep_rank,
     variance_compare,
 )
-from linkanom.linalg import householder_qr, row_variance, sym_eig
+from linkanom.linalg import householder_qr, sym_eig
 from linkanom.traffic import ScenarioConfig, assemble_scenario
 
 REFERENCE = ScenarioConfig()  # m=120, n=240, t=640, r_true=24, density 0.05, s=77, sigma^2=0.1
 GRID = (8, 16, 24, 32, 48, 64)
 BETA = 0.005
+
+
+def row_variance(m):
+    return np.var(m, axis=1, ddof=1)
 
 
 def _report_line(number, ok, detail):

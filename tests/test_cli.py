@@ -234,6 +234,16 @@ class TestVariances:
         header = (out / "variances.csv").read_text().splitlines()[0]
         assert header == "index,pca,rbad,sspbad-markov-column-stochastic,sspbad-rademacher"
 
+    def test_y_without_labels_matches_input(self, tmp_path):
+        scen = tmp_path / "scen"
+        assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
+        by_dir, by_y = tmp_path / "dir", tmp_path / "y"
+        assert main(["variances", "--input", str(scen), "--rank", "6",
+                     "--output", str(by_dir)]) == 0
+        assert main(["variances", "--y", str(scen / "Y.csv"), "--rank", "6",
+                     "--output", str(by_y)]) == 0
+        assert (by_dir / "variances.csv").read_bytes() == (by_y / "variances.csv").read_bytes()
+
     def test_rank_beyond_the_traffic_is_an_error(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         assert main(["generate", *SMALL_ARGS, "--noise-variance", "0", "--anomaly-count", "0",
@@ -262,6 +272,22 @@ class TestErrorSurface:
         assert main(["sweep", *SMALL_ARGS, "--method", "pca,pca", "--rank-grid", "4",
                      "--trials", "1", "--output", str(out)]) == 1
         assert "repeat method 'pca'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["detect", "--center", "maybe"], "bad value for center"),
+        (["sweep", "--trials", "x"], "bad value for trials"),
+        (["detect", "--y", "{scen}/Y.csv"], "--y requires --labels"),
+        (["detect", "--input", "{scen}", "--method", "pca,rbad"],
+         "detect takes exactly one --method"),
+    ])
+    def test_bad_arguments_exit_1(self, tmp_path, capsys, args, message):
+        scen = tmp_path / "scen"
+        assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
+        out = tmp_path / "out"
+        argv = [arg.format(scen=scen) for arg in args]
+        assert main([*argv, "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):

@@ -34,7 +34,6 @@ from linkanom.detectors import (
 )
 from linkanom.ensembles import EnsembleKind, SeedSpec
 from linkanom.evaluation import sweep_rank
-from linkanom.linalg import row_variance
 from linkanom.traffic import ScenarioConfig, assemble_scenario
 
 NOISELESS = dataclasses.replace(
@@ -42,15 +41,29 @@ NOISELESS = dataclasses.replace(
 )
 
 
+def row_variance(m):
+    return np.var(m, axis=1, ddof=1)
+
+
 def scalar_q_oracle(residual, beta):
-    """Independent recomputation of the threshold with plain scalar math."""
+    """Independent recomputation of the threshold with plain scalar math.
+    (Q/theta1)^h0 is near normal with a spread sqrt(2*th2)*|h0|/th1, and
+    falls as Q rises when h0 < 0, so the quantile's spread is signed."""
     th1 = sum(residual)
     th2 = sum(x**2 for x in residual)
     th3 = sum(x**3 for x in residual)
     h0 = 1.0 - 2.0 * th1 * th3 / (3.0 * th2**2)
     c = float(ndtri(1.0 - beta))
-    base = c * math.sqrt(2.0 * th2 * h0 * h0) / th1 + 1.0 + th2 * h0 * (h0 - 1.0) / th1**2
+    spread = math.sqrt(2.0 * th2) * h0
+    base = c * spread / th1 + 1.0 + th2 * h0 * (h0 - 1.0) / th1**2
     return th1 * base ** (1.0 / h0)
+
+
+# residual spectra whose h0 is negative: (spectrum, rank)
+NEGATIVE_H0_SPECTRA = [
+    (1.0 / np.arange(1, 121), 8),
+    (np.array([100.0, 10.0] + [1.0] * 10), 1),
+]
 
 
 class TestNormalQuantile:
@@ -329,6 +342,38 @@ class TestQThreshold:
             want = scalar_q_oracle(list(variances[rank:]), 0.005)
             assert th.q_beta == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("variances, rank", NEGATIVE_H0_SPECTRA)
+    def test_negative_h0_threshold_lies_above_the_spe_mean(self, variances, rank):
+        # theta1 is the mean of the SPE; an upper quantile cannot fall below it
+        th = q_threshold(variances, rank, 0.005)
+        assert th.h0 < 0.0
+        assert th.q_beta > th.theta[0]
+        assert th.q_beta == pytest.approx(scalar_q_oracle(list(variances[rank:]), 0.005), rel=1e-12)
+
+    @pytest.mark.parametrize("variances, rank", NEGATIVE_H0_SPECTRA)
+    def test_negative_h0_exceedance_near_beta(self, variances, rank):
+        # SPE = sum_i lambda_i z_i^2 over the residual spectrum
+        beta = 0.05
+        z = np.random.default_rng(61).standard_normal((20_000, variances.shape[0] - rank))
+        spe = z**2 @ variances[rank:]
+        exceedance = np.mean(spe > q_threshold(variances, rank, beta).q_beta)
+        assert beta / 3 <= exceedance <= 3 * beta
+
+    def test_nonpositive_base_is_degenerate(self):
+        # residual {10, 1 x 80}: theta = (90, 180, 1080) and h0 = -1 exactly,
+        # so 1/h0 is an integer; a base <= 0 still gives no threshold, since
+        # (Q/theta1)^h0 is positive
+        variances = [20.0, 10.0] + [1.0] * 80
+        with pytest.raises(DegenerateSpectrumError, match="nonpositive base"):
+            q_threshold(variances, 1, 1e-7)
+        # h0 = 1/3 here, and c_beta < 0 at beta = 0.99 drives the base below 0
+        with pytest.raises(DegenerateSpectrumError, match="nonpositive base"):
+            q_threshold([2.0, 1.0], 1, 0.99)
+        # near beta = 1 the quantile is the SPE's lower tail: below theta1, above 0
+        th = q_threshold(variances, 1, 1.0 - 1e-7)
+        assert (th.h0, th.theta) == (-1.0, (90.0, 180.0, 1080.0))
+        assert 0.0 < th.q_beta < th.theta[0]
+
     def test_all_zero_residual_errors(self):
         # at 1e-160 theta2 is nonzero but theta2**2, the h0 denominator, underflows
         for variances, rank in (([3.0, 2.0, 0.0, 0.0], 2), ([1.0, 1e-160], 1)):
@@ -442,6 +487,20 @@ class TestDetect:
             assert report.degenerate
             assert report.threshold is None
             assert report.flag_count == 0
+
+    @pytest.mark.parametrize("rank", [4, 8])
+    def test_clean_traffic_with_negative_h0_is_rarely_flagged(self, rank):
+        # Gaussian link traffic, covariance eigenvalues 1/i, no anomalies:
+        # beta = 0.005 expects ~3.2 of 640 snapshots flagged. The sample h0
+        # is -0.14 at rank 4 and -0.005 at rank 8 for this draw (near 0 at
+        # rank 8, its sign there depends on the draw)
+        m, t = 120, 640
+        rng = np.random.default_rng(2)
+        basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        y = basis @ (np.sqrt(1.0 / np.arange(1, m + 1))[:, None] * rng.standard_normal((m, t)))
+        (report,) = detect_ranks(build_pca_model(y, rank), y, [rank])
+        assert report.threshold.h0 < 0.0
+        assert report.flag_count <= 10
 
     def test_reference_scenario_produces_flags(self):
         # Monte-Carlo pilot at the reference scale put pca flag counts in
@@ -727,6 +786,17 @@ class TestInputValidation:
              "power_exponent", 1.5),
             (lambda: detect_method("rbad", y, [2], SeedSpec(1), power_exponent=1.5),
              "power_exponent", 1.5),
+            (lambda: detect_method("pca", y, [2], SeedSpec(1), power_exponent=1.5),
+             "power_exponent", 1.5),
+            # bool is an int subclass, but no rank, exponent or seed
+            (lambda: build_pca_model(y, True), "rank", True),
+            (lambda: detect_ranks(model, y, [True]), "rank", True),
+            (lambda: detect_method("pca", y, [True], SeedSpec(1)), "rank", True),
+            (lambda: q_threshold(model.variances, True, 0.005), "rank", True),
+            (lambda: sweep_rank(cfg, ["pca"], [True], 1), "rank grid value", True),
+            (lambda: build_rbad_model(y, 2, SeedSpec(1), power_exponent=False),
+             "power_exponent", False),
+            (lambda: SeedSpec(True), "master_seed", True),
             (lambda: SeedSpec(1.5), "master_seed", 1.5),
             (lambda: SeedSpec(1, 0.5), "stream_index", 0.5),
             (lambda: SeedSpec(1).split(2.0), "branch label", 2.0),
@@ -749,6 +819,13 @@ class TestInputValidation:
                                       SeedSpec(1, 0, (3,)).generator().random(4))
         rbad = build_rbad_model(y, 2, seed, power_exponent=np.int64(1))
         np.testing.assert_array_equal(rbad.basis, build_rbad_model(y, 2, seed, 1).basis)
+
+    def test_subspace_model_shapes_rejected(self):
+        model = build_pca_model(np.random.default_rng(49).normal(size=(6, 30)), 2)
+        with pytest.raises(ValueError, match=r"^basis must be square, got \(6, 5\)$"):
+            dataclasses.replace(model, basis=model.basis[:, :5])
+        with pytest.raises(ValueError, match="one entry per basis row"):
+            dataclasses.replace(model, mean=model.mean[:5])
 
     def test_one_dimensional_traffic_rejected(self):
         with pytest.raises(ValueError, match="2-D"):

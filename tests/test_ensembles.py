@@ -10,11 +10,17 @@ from linkanom.ensembles import (
     ensemble_matrix,
     gen_bernoulli,
     gen_gaussian,
-    gen_markov,
-    gen_rademacher,
 )
 
 SEED = SeedSpec(2024, 3)
+
+
+def markov(rows, cols, seed):
+    return ensemble_matrix(EnsembleKind.MARKOV, rows, cols, seed)
+
+
+def rademacher(rows, cols, seed):
+    return ensemble_matrix(EnsembleKind.RADEMACHER, rows, cols, seed)
 
 
 class TestSeedSpec:
@@ -25,6 +31,13 @@ class TestSeedSpec:
             SeedSpec(2**64)
         with pytest.raises(ValueError):
             SeedSpec(0, -1)
+        # bool is an int subclass, but no seed
+        with pytest.raises(ValueError, match=r"^master_seed must be an integer, got True$"):
+            SeedSpec(True)
+        with pytest.raises(ValueError, match=r"^stream_index must be an integer, got False$"):
+            SeedSpec(1, False)
+        with pytest.raises(ValueError, match=r"^branch label must be an integer, got True$"):
+            SeedSpec(1).split(True)
 
     def test_split_produces_distinct_streams(self):
         a = SeedSpec(7, 0).split(1).generator().random(8)
@@ -82,25 +95,25 @@ class TestBernoulli:
 
 class TestMarkov:
     def test_single_row_all_ones(self):
-        np.testing.assert_array_equal(gen_markov(1, 8, SEED), np.ones((1, 8)))
+        np.testing.assert_array_equal(markov(1, 8, SEED), np.ones((1, 8)))
 
     def test_columns_sum_to_one(self):
-        sample = gen_markov(37, 53, SEED)
+        sample = markov(37, 53, SEED)
         np.testing.assert_allclose(sample.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_nonnegative(self):
-        assert gen_markov(120, 120, SEED).min() >= 0.0
+        assert markov(120, 120, SEED).min() >= 0.0
 
 
 class TestRademacher:
     def test_unit_magnitude(self):
-        assert (np.abs(gen_rademacher(40, 25, SEED)) == 1.0).all()
+        assert (np.abs(rademacher(40, 25, SEED)) == 1.0).all()
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(gen_rademacher(10, 10, SEED), gen_rademacher(10, 10, SEED))
+        np.testing.assert_array_equal(rademacher(10, 10, SEED), rademacher(10, 10, SEED))
 
     def test_mean_concentration(self):
-        assert abs(gen_rademacher(120, 120, SEED).mean()) <= 0.05
+        assert abs(rademacher(120, 120, SEED).mean()) <= 0.05
 
 
 class TestEnsembleKind:
@@ -129,6 +142,11 @@ class TestEnsembleKind:
                 np.testing.assert_allclose(sample.sum(axis=0), 1.0, atol=1e-12)
             elif kind is EnsembleKind.RADEMACHER:
                 assert set(np.unique(sample)) == {-1.0, 1.0}
+
+    def test_unknown_kind_rejected(self):
+        # a tag string is no EnsembleKind, and rademacher is no fall-through
+        with pytest.raises(ValueError, match="unknown ensemble kind: 'gaussian'"):
+            ensemble_matrix("gaussian", 3, 3, SEED)
 
     def test_dispatch_deterministic(self):
         for kind in EnsembleKind:

@@ -72,7 +72,7 @@ class TestScore:
         flags = [f for f, _ in pairs]
         labels = [l for _, l in pairs]
         counts = score(_report(flags), labels)
-        assert counts.total == len(pairs)
+        assert counts.tp + counts.fp + counts.fn + counts.tn == len(pairs)
         assert min(counts.tp, counts.fp, counts.fn, counts.tn) >= 0
 
 
@@ -247,10 +247,27 @@ class TestSweepRank:
             sweep_rank(SMALL, ["pca"], [6], trials=1, workers=1.5)
         with pytest.raises(ValueError, match="repeat method 'pca'"):
             sweep_rank(SMALL, ["pca", "rbad", "pca"], [6], trials=1)
+        with pytest.raises(ValueError, match="^rank_grid must be nonempty$"):
+            sweep_rank(SMALL, ["pca"], [], trials=1)
+        # bool is an int subclass, but no count
+        with pytest.raises(ValueError, match=r"^trials must be an integer, got True$"):
+            sweep_rank(SMALL, ["pca"], [6], trials=True)
+        with pytest.raises(ValueError, match=r"^workers must be an integer, got True$"):
+            sweep_rank(SMALL, ["pca"], [6], trials=1, workers=True)
         # numpy integers are trial and worker counts
         want, _ = sweep_rank(SMALL, ["pca"], [6], trials=2)
         got, _ = sweep_rank(SMALL, ["pca"], [6], trials=np.int64(2), workers=np.int64(2))
         assert got == want
+
+    @pytest.mark.parametrize("method", ["pca", "rbad"])
+    def test_power_exponent_checked_before_any_trial(self, monkeypatch, method):
+        def assemble(cfg):
+            raise AssertionError("a scenario was assembled")
+
+        monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
+        for value in (1.5, -1, True):
+            with pytest.raises(ValueError, match="^power_exponent must be"):
+                sweep_rank(SMALL, [method], [6], trials=2, power_exponent=value, workers=2)
 
     def test_kinds_may_be_a_generator(self):
         kinds = [k for k in EnsembleKind if k is not EnsembleKind.MARKOV]

@@ -64,6 +64,12 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="line 2.*non-finite"):
             read_matrix_csv(path)
 
+    def test_one_dimensional_write_rejected(self, tmp_path):
+        path = tmp_path / "row.csv"
+        with pytest.raises(ValueError, match="^matrix must be 2-D, got ndim=1$"):
+            write_matrix_csv(np.arange(3.0), path)
+        assert not path.exists()
+
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):
@@ -77,6 +83,12 @@ class TestLabelsCsv:
         path = tmp_path / "labels.csv"
         path.write_text("1\n2\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_labels_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("\n\n")
+        with pytest.raises(ValueError, match="empty labels file"):
             read_labels_csv(path)
 
 

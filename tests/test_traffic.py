@@ -28,7 +28,7 @@ def gram_rank(x, rel_tol=1e-10):
     """Numerical rank via the PSD eigen route: eigenvalues of X^T X (its
     singular values, since the Gram matrix is PSD) above rel_tol * largest."""
     gram = x.T @ x
-    lam = sym_eig(0.5 * (gram + gram.T)).eigenvalues
+    lam, _ = sym_eig(0.5 * (gram + gram.T))
     if lam[0] <= 0.0:
         return 0
     return int(np.sum(lam > rel_tol * lam[0]))
@@ -195,6 +195,12 @@ class TestAssembleScenario:
         for name in ("m", "n", "t", "r_true", "anomaly_count"):
             with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2.5$"):
                 ScenarioConfig(**{name: 2.5})
+            # bool is an int subclass, but no size
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got True$"):
+                ScenarioConfig(**{name: True})
+        for density in (1.5, -0.1):
+            with pytest.raises(ValueError, match=r"^routing_density must be in \[0, 1\]"):
+                ScenarioConfig(routing_density=density)
         # numpy integers are sizes: the same scenario, bit for bit
         sizes = {name: np.int64(getattr(SMALL, name))
                  for name in ("m", "n", "t", "r_true", "anomaly_count")}
