@@ -2,11 +2,18 @@
 scenario directories, and flat key=value config files.
 
 Floats are written with 17 significant digits, which round-trips every
-finite double exactly.
+finite double exactly. Matrix CSVs cost little more than that text
+conversion: a file of plain decimal text (digits, signs, points,
+exponents, commas, blanks and line breaks) with finite values is parsed
+once by numpy's C parser, and any other file goes through a line loop
+that alone decides what is accepted and names the offending line. The
+writer formats each row with one `%` and writes a row of +0.0 entries
+from one prebuilt line.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -15,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
+from .linalg import _as_matrix
 from .traffic import Scenario
 
 __all__ = [
@@ -97,19 +105,60 @@ def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def _matrix_lines(matrix: np.ndarray) -> Iterator[str]:
+    """The text of each row of a finite 2-D matrix, as `np.savetxt` with
+    fmt="%.17g" writes it, converted one row at a time."""
+    cols = matrix.shape[1]
+    line = ",".join(["%.17g"] * cols) + "\n"
+    zero_line = ",".join(["0"] * cols) + "\n"
+    # a -0.0 entry prints as -0, so only rows of +0.0 take the prebuilt line
+    nonzero = matrix.any(axis=1) | np.signbit(matrix).any(axis=1)
+    for row, keep in zip(matrix, nonzero.tolist()):
+        yield line % tuple(row.tolist()) if keep else zero_line
+
+
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
-    """Headerless comma-separated matrix, one row per line."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got ndim={matrix.ndim}")
-    # %.17g writes the text of format_float
+    """Headerless comma-separated matrix, one row per line, each float as
+    `format_float` prints it; a row of +0.0 entries is written from one
+    prebuilt line. The matrix must be finite with at least one row and one
+    column, so that `read_matrix_csv` reads back every file written here."""
+    matrix = _as_matrix(matrix)
+    if 0 in matrix.shape:
+        raise ValueError(f"matrix must have at least one row and one column, got shape {matrix.shape}")
     with _atomic_open(Path(path)) as handle:
-        np.savetxt(handle, matrix, fmt="%.17g", delimiter=",")
+        handle.writelines(_matrix_lines(matrix))
+
+
+# the bytes of plain decimal text: only such files go to numpy's parser,
+# which also strips characters around a field that `float` rejects (\x1c)
+_PLAIN_BYTES = b"0123456789+-.eE, \t\r\n"
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Parse a headerless numeric CSV; errors name the offending line."""
+    """Parse a headerless numeric CSV; errors name the offending line.
+
+    A nonblank file of plain decimal text is parsed once by numpy's C
+    parser. Every other file (blank, or with other bytes such as `1_0` or
+    non-ASCII digits), and any file that parse rejects (whitespace-only
+    lines among them) or that holds a non-finite value, goes through
+    `_read_matrix_lines`, which alone decides what is accepted and what
+    each error says. Both paths give the same bits."""
     path = Path(path)
+    data = path.read_bytes()
+    if data and not data.isspace() and not data.translate(None, _PLAIN_BYTES):
+        try:
+            matrix = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(matrix).all():
+                return matrix
+    return _read_matrix_lines(path)
+
+
+def _read_matrix_lines(path: Path) -> np.ndarray:
+    """The line loop: each nonblank line split at commas, each field
+    through `float`."""
     rows: list[list[float]] = []
     width: int | None = None
     for lineno, line in _content_lines(path):
@@ -133,6 +182,8 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
 def write_labels_csv(labels: np.ndarray, path: str | Path) -> None:
     """Single column of 0/1, one snapshot per line."""
     labels = np.asarray(labels, dtype=bool)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValueError(f"labels must be a nonempty 1-D array, got shape {labels.shape}")
     atomic_write_text(Path(path), "\n".join("1" if flag else "0" for flag in labels) + "\n")
 
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from linkanom import storage
 from linkanom.cli import main
 from linkanom.storage import read_config_file, read_matrix_csv
 
@@ -61,18 +62,20 @@ class TestGenerate:
         assert after == before
 
     def test_failed_matrix_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
-        savetxt, calls = np.savetxt, []
-
-        def failing_savetxt(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:  # X.csv, the third matrix
-                raise OSError(errno.ENOSPC, "No space left on device")
-            savetxt(*args, **kwargs)
-
-        monkeypatch.setattr(np, "savetxt", failing_savetxt)
+        matrix_lines, staged = storage._matrix_lines, []
         out = tmp_path / "scen"
+
+        def failing_matrix_lines(matrix):
+            # runs inside the write, once the matrix's temp file is staged
+            staged.append(sorted(path.name for path in out.iterdir()))
+            if len(staged) == 3:  # X.csv, the third matrix
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield from matrix_lines(matrix)
+
+        monkeypatch.setattr(storage, "_matrix_lines", failing_matrix_lines)
         assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 1
         assert "No space left" in capsys.readouterr().err
+        assert staged[-1] == ["R.csv.tmp", "X.csv.tmp", "Y.csv.tmp"]
         assert not out.exists()
 
     @pytest.mark.parametrize("variance", ["nan", "inf", "-inf"])

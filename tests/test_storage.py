@@ -1,9 +1,13 @@
 """File-format tests: bit-exact matrix round-trips, parse errors with line
 numbers, label columns, result tables, and flat config files."""
 
+import io
+
 import numpy as np
 import pytest
 
+from linkanom import storage
+from linkanom.cli import main
 from linkanom.ensembles import SeedSpec
 from linkanom.storage import (
     format_float,
@@ -70,6 +74,103 @@ class TestMatrixCsv:
             write_matrix_csv(np.arange(3.0), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        ("matrix", "message"),
+        [
+            ([[np.nan, 1.0]], "^matrix has 1 non-finite values"),
+            ([[1.0, np.inf], [-np.inf, 2.0]], "^matrix has 2 non-finite values"),
+            (np.zeros((0, 3)), r"^matrix must have at least one row and one column, got shape \(0, 3\)$"),
+            (np.zeros((2, 0)), r"^matrix must have at least one row and one column, got shape \(2, 0\)$"),
+        ],
+        ids=["nan", "inf", "no-rows", "no-columns"],
+    )
+    def test_unreadable_matrix_write_rejected(self, tmp_path, matrix, message):
+        # each would write a file that read_matrix_csv rejects
+        with pytest.raises(ValueError, match=message):
+            write_matrix_csv(matrix, tmp_path / "m.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((3, 4)),
+            [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [1.0, 0.0, -0.0]],
+            [[5e-324, -2.5e-320, 0.0], [2.2250738585072009e-308, 1e-310, -5e-324]],
+            [[1e17, -1e17, 123456789012345678.0], [9007199254740993.0, 1e16, 0.0]],
+            [[1e-300, -1e-300, 1.7976931348623157e308], [0.0, 1e-300, 0.0]],
+            [[1.0, 2.0, 3.0], [-4.0, 0.0, 65536.0], [0.0, 0.0, 0.0]],
+        ],
+        ids=["zero-rows", "negative-zero", "subnormal", "1e17", "1e-300", "integer-valued"],
+    )
+    def test_text_is_savetxt(self, tmp_path, matrix):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(matrix, path)
+        oracle = io.StringIO()
+        np.savetxt(oracle, np.asarray(matrix, dtype=float), fmt="%.17g", delimiter=",")
+        assert path.read_text() == oracle.getvalue()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2\r\n3,4\r\n",
+            "1,2\r3,4\r",
+            "1,2\n\n3,4\n",
+            "1,2\n \t \n3,4\n",
+            "1_0,2\n3,4\n",
+            "\uff11,2\n3,4\n",
+            "1,\x1c2\n3,4\n",
+            "1,2\n3,inf\n",
+            "1,2\nnan,4\n",
+            "1,2\n3,1e999\n",
+            "1,2\n3,4,5\n",
+            "1,2,\n3,4,\n",
+            "1,2\n3,oops\n",
+            "",
+            "\n \n\t\n",
+        ],
+        ids=[
+            "crlf", "cr", "blank-line", "whitespace-line", "underscore", "full-width-digit",
+            "file-separator", "inf", "nan", "overflow", "ragged", "trailing-comma",
+            "non-numeric", "empty", "all-blank",
+        ],
+    )
+    def test_reader_matches_line_loop(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = storage._read_matrix_lines(path)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                read_matrix_csv(path)
+            assert str(raised.value) == str(error)
+        else:
+            got = read_matrix_csv(path)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_written_files_take_the_c_parse(self, tmp_path, monkeypatch):
+        # a future numpy or writer change must not send every read to the line loop
+        def no_line_loop(path):
+            raise AssertionError(f"{path} went through the line loop")
+
+        matrices = [
+            np.array([[0.0, -0.0, 5e-324], [0.0, 0.0, 0.0], [-2.5e-320, 1e17, -1e-300]]),
+            np.zeros((2, 5)),
+            np.array([[3.5]]),
+        ]
+        paths = [tmp_path / f"m{index}.csv" for index in range(len(matrices))]
+        for path, matrix in zip(paths, matrices):
+            write_matrix_csv(matrix, path)
+        scen = tmp_path / "scen"
+        assert main(["generate", "--m", "12", "--n", "24", "--t", "40", "--r-true", "3",
+                     "--anomaly-count", "4", "--output", str(scen)]) == 0
+        paths.append(scen / "Y.csv")
+        matrices.append(storage._read_matrix_lines(scen / "Y.csv"))
+        monkeypatch.setattr(storage, "_read_matrix_lines", no_line_loop)
+        for path, matrix in zip(paths, matrices):
+            got = read_matrix_csv(path)
+            assert got.shape == matrix.shape and got.tobytes() == matrix.tobytes()
+
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):
@@ -90,6 +191,16 @@ class TestLabelsCsv:
         path.write_text("\n\n")
         with pytest.raises(ValueError, match="empty labels file"):
             read_labels_csv(path)
+
+    @pytest.mark.parametrize(
+        ("labels", "shape"), [([], r"\(0,\)"), (True, r"\(\)"), ([[1, 0], [0, 1]], r"\(2, 2\)")],
+        ids=["empty", "scalar", "2-D"],
+    )
+    def test_unreadable_write_rejected(self, tmp_path, labels, shape):
+        # [] would write "\n", which reads back as an empty labels file
+        with pytest.raises(ValueError, match=f"^labels must be a nonempty 1-D array, got shape {shape}$"):
+            write_labels_csv(labels, tmp_path / "labels.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTable:
