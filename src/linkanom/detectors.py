@@ -132,6 +132,20 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _check_kinds(kinds: Iterable[EnsembleKind] | None) -> tuple[EnsembleKind, ...]:
+    """The families `kinds` names (all when None), in the fixed family
+    order; ValueError for an empty set, a non-member or a repeat."""
+    kinds = list(EnsembleKind) if kinds is None else list(kinds)
+    if not kinds:
+        raise ValueError("kinds must be nonempty")
+    for i, kind in enumerate(kinds):
+        if not isinstance(kind, EnsembleKind):
+            raise ValueError(f"kinds item {kind!r} is no EnsembleKind; see EnsembleKind.from_tag")
+        if kind in kinds[:i]:
+            raise ValueError(f"kinds repeat ensemble kind {kind.value!r}")
+    return tuple(kind for kind in EnsembleKind if kind in kinds)
+
+
 class _Moments(NamedTuple):
     """The traffic's second moment, which every model is built from."""
 
@@ -266,13 +280,11 @@ def build_sspbad_candidates(
     traffic = _traffic(y)
     m = traffic.y.shape[0]
     _check_rank(rank, m)
-    requested = set(EnsembleKind) if kinds is None else set(kinds)
-    if not requested:
-        raise ValueError("kinds must be nonempty")
+    kinds = _check_kinds(kinds)
     moments = traffic.moments(center)
     models = []
     for index, kind in enumerate(EnsembleKind):
-        if kind not in requested:
+        if kind not in kinds:
             continue
         t2 = ensemble_matrix(kind, m, m, seed.split(index))
         q, _ = householder_qr(moments.second @ t2)
@@ -457,6 +469,7 @@ def detect_method(
         raise ValueError("ranks must be nonempty")
     _check_method(method)
     _check_int("power_exponent", power_exponent, 0)  # checked for pca too, which ignores it
+    kinds = _check_kinds(kinds)  # likewise
     traffic = _traffic(y)
     if method == METHOD_PCA:
         models = [build_pca_model(traffic, ranks[0])]

@@ -22,6 +22,7 @@ from .detectors import (
     METHOD_RBAD,
     METHOD_SSPBAD,
     DetectionReport,
+    _check_kinds,
     _check_method,
     _check_rank,
     _Traffic,
@@ -153,6 +154,7 @@ def variance_compare(
     deviations undefined: the traffic has fewer than `rank` directions of
     variance.
     """
+    kinds = _check_kinds(kinds)
     traffic = _Traffic(y)
     pca = build_pca_model(traffic, rank)
     reference = pca.variances[:rank]
@@ -236,7 +238,7 @@ def _run_trial(
     rank_grid: Sequence[int],
     beta: float,
     power_exponent: int,
-    kinds: Iterable[EnsembleKind] | None,
+    kinds: tuple[EnsembleKind, ...],
     center: bool,
 ) -> list[MetricRow]:
     trial_seed = replace(cfg.seed, stream_index=cfg.seed.stream_index + trial)
@@ -284,7 +286,9 @@ def sweep_rank(
     the sweep is fully determined by (cfg, methods, rank_grid, trials,
     beta, power_exponent, kinds, center); trials may run in parallel
     (workers > 1) without changing any emitted number because rows are
-    reduced in trial order either way.
+    reduced in trial order either way. Rows come one (method, rank) point
+    at a time, methods and ranks in the order given and trials ascending
+    within a point; the curves follow the same order.
 
     While a pool runs, numpy's bundled OpenBLAS is held at one thread, so
     the trial threads do not each start BLAS threads of their own; the
@@ -308,7 +312,7 @@ def sweep_rank(
     _check_int("power_exponent", power_exponent, 0)
     _check_int("trials", trials, 1)
     _check_int("workers", workers, 1)
-    kinds = None if kinds is None else list(kinds)  # every trial reads it, so no generator
+    kinds = _check_kinds(kinds)  # a tuple: every trial reads it
 
     def run(trial: int) -> list[MetricRow]:
         return _run_trial(cfg, trial, methods, rank_grid, beta, power_exponent, kinds, center)
@@ -319,23 +323,18 @@ def sweep_rank(
     else:
         per_trial = [run(trial) for trial in range(trials)]
 
-    method_order = {method: i for i, method in enumerate(methods)}
-    rows = [row for trial_rows in per_trial for row in trial_rows]
-    rows.sort(key=lambda row: (method_order[row.method], row.rank, row.trial))
-
-    curves = []
-    for method in methods:
-        means, stds = [], []
-        for rank in rank_grid:
-            rates = [r.detection_rate for r in rows if r.method == method and r.rank == rank]
-            means.append(float(np.mean(rates)))
-            stds.append(float(np.std(rates, ddof=1)) if len(rates) > 1 else 0.0)
-        curves.append(
-            SweepCurve(
-                method=method,
-                ranks=tuple(rank_grid),
-                mean_detection_rate=tuple(means),
-                std_detection_rate=tuple(stds),
-            )
-        )
+    # each trial returns its rows point by point, methods and ranks in the
+    # order given, so the transposed trial lists hold one column per point
+    columns = list(zip(*per_trial))
+    rows = [row for column in columns for row in column]
+    rates = [[row.detection_rate for row in column] for column in columns]
+    means = [float(np.mean(r)) for r in rates]
+    stds = [float(np.std(r, ddof=1)) if trials > 1 else 0.0 for r in rates]
+    k = len(rank_grid)
+    curves = [
+        SweepCurve(method=method, ranks=tuple(rank_grid),
+                   mean_detection_rate=tuple(means[i * k:(i + 1) * k]),
+                   std_detection_rate=tuple(stds[i * k:(i + 1) * k]))
+        for i, method in enumerate(methods)
+    ]
     return rows, curves

@@ -1,14 +1,15 @@
 """Bit-stable file formats: headerless matrix CSVs, 0/1 label columns,
 scenario directories, and flat key=value config files.
 
-Floats are written with 17 significant digits, which round-trips every
-finite double exactly. Matrix CSVs cost little more than that text
-conversion: a file of plain decimal text (digits, signs, points,
-exponents, commas, blanks and line breaks) with finite values is parsed
-once by numpy's C parser, and any other file goes through a line loop
-that alone decides what is accepted and names the offending line. The
-writer formats each row with one `%` and writes a row of +0.0 entries
-from one prebuilt line.
+Every file goes through one writer, `_write_lines`, which stages it
+inside an `_all_or_none` block. Floats are written with 17 significant
+digits (`_FLOAT`), which round-trips every finite double exactly. Matrix
+CSVs cost little more than that text conversion: a file of plain decimal
+text (digits, signs, points, exponents, commas, blanks and line breaks)
+with finite values is parsed once by numpy's C parser, and any other
+file goes through a line loop that alone decides what is accepted and
+names the offending line. The matrix writer formats each row with one
+`%` and writes a row of +0.0 entries from one prebuilt line.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +27,6 @@ from .linalg import _as_matrix
 from .traffic import Scenario
 
 __all__ = [
-    "format_float",
-    "atomic_write_text",
     "write_table",
     "read_matrix_csv",
     "write_matrix_csv",
@@ -39,10 +38,7 @@ __all__ = [
     "write_config_file",
 ]
 
-
-def format_float(x: float) -> str:
-    return format(x, ".17g")
-
+_FLOAT = "%.17g"
 
 # (NAME.tmp, NAME) of every output written inside the open `_all_or_none`
 # block; context-local, so no other thread or caller sees the list
@@ -70,30 +66,25 @@ def _all_or_none() -> Iterator[None]:
             tmp.unlink(missing_ok=True)
 
 
-@contextmanager
-def _atomic_open(path: Path) -> Iterator[TextIO]:
-    """No output file is ever half-written: the block writes the staged
-    temp file of an `_all_or_none` block (a block of its own if none is
-    open)."""
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """No output file is ever half-written: the lines, each ending in a
+    newline, go to the staged temp file of an `_all_or_none` block (a
+    block of its own if none is open). `lines` may be lazy; it is read
+    only once the file is open and staged."""
     tmp = path.with_name(path.name + ".tmp")
     with _all_or_none(), open(tmp, "w") as handle:
         # staged once created, so a failed open never removes what it did not create
         _staged.get().append((tmp, path))
-        yield handle
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    with _atomic_open(path) as handle:
-        handle.write(text)
+        handle.writelines(lines)
 
 
 def write_table(header: Sequence[str], rows: Iterable[Sequence[object]], path: str | Path) -> None:
-    """Comma-separated table under a header line: floats through
-    `format_float`, every other value through `str`."""
-    lines = [",".join(header)]
+    """Comma-separated table under a header line: floats at 17
+    significant digits, every other value through `str`."""
+    lines = [",".join(header) + "\n"]
     for row in rows:
-        lines.append(",".join(format_float(x) if isinstance(x, float) else str(x) for x in row))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+        lines.append(",".join(_FLOAT % x if isinstance(x, float) else str(x) for x in row) + "\n")
+    _write_lines(Path(path), lines)
 
 
 def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -107,9 +98,9 @@ def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
 
 def _matrix_lines(matrix: np.ndarray) -> Iterator[str]:
     """The text of each row of a finite 2-D matrix, as `np.savetxt` with
-    fmt="%.17g" writes it, converted one row at a time."""
+    fmt=_FLOAT writes it, converted one row at a time."""
     cols = matrix.shape[1]
-    line = ",".join(["%.17g"] * cols) + "\n"
+    line = ",".join([_FLOAT] * cols) + "\n"
     zero_line = ",".join(["0"] * cols) + "\n"
     # a -0.0 entry prints as -0, so only rows of +0.0 take the prebuilt line
     nonzero = matrix.any(axis=1) | np.signbit(matrix).any(axis=1)
@@ -118,15 +109,14 @@ def _matrix_lines(matrix: np.ndarray) -> Iterator[str]:
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
-    """Headerless comma-separated matrix, one row per line, each float as
-    `format_float` prints it; a row of +0.0 entries is written from one
+    """Headerless comma-separated matrix, one row per line, each float at
+    17 significant digits; a row of +0.0 entries is written from one
     prebuilt line. The matrix must be finite with at least one row and one
     column, so that `read_matrix_csv` reads back every file written here."""
     matrix = _as_matrix(matrix)
     if 0 in matrix.shape:
         raise ValueError(f"matrix must have at least one row and one column, got shape {matrix.shape}")
-    with _atomic_open(Path(path)) as handle:
-        handle.writelines(_matrix_lines(matrix))
+    _write_lines(Path(path), _matrix_lines(matrix))
 
 
 # the bytes of plain decimal text: only such files go to numpy's parser,
@@ -184,7 +174,7 @@ def write_labels_csv(labels: np.ndarray, path: str | Path) -> None:
     labels = np.asarray(labels, dtype=bool)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError(f"labels must be a nonempty 1-D array, got shape {labels.shape}")
-    atomic_write_text(Path(path), "\n".join("1" if flag else "0" for flag in labels) + "\n")
+    _write_lines(Path(path), ["1\n" if flag else "0\n" for flag in labels.tolist()])
 
 
 def read_labels_csv(path: str | Path) -> np.ndarray:
@@ -201,8 +191,7 @@ def read_labels_csv(path: str | Path) -> np.ndarray:
 
 def write_config_file(entries: Mapping[str, object], path: str | Path) -> None:
     """Flat `key = value` lines in the given order."""
-    lines = [f"{key} = {value}" for key, value in entries.items()]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    _write_lines(Path(path), [f"{key} = {value}\n" for key, value in entries.items()])
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -223,17 +212,13 @@ def write_scenario(scenario: Scenario, directory: str | Path) -> None:
     none (config echoing is the CLI's job)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    contents = (
-        ("Y.csv", write_matrix_csv, scenario.y),
-        ("R.csv", write_matrix_csv, scenario.routing),
-        ("X.csv", write_matrix_csv, scenario.x),
-        ("A.csv", write_matrix_csv, scenario.a),
-        ("V.csv", write_matrix_csv, scenario.v),
-        ("labels.csv", write_labels_csv, scenario.labels),
-    )
     with _all_or_none():
-        for name, writer, data in contents:
-            writer(data, directory / name)
+        write_matrix_csv(scenario.y, directory / "Y.csv")
+        write_matrix_csv(scenario.routing, directory / "R.csv")
+        write_matrix_csv(scenario.x, directory / "X.csv")
+        write_matrix_csv(scenario.a, directory / "A.csv")
+        write_matrix_csv(scenario.v, directory / "V.csv")
+        write_labels_csv(scenario.labels, directory / "labels.csv")
 
 
 def _read_traffic(y_path: str | Path, labels_path: str | Path | None

@@ -204,6 +204,18 @@ class TestSweep:
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
         assert (a / "sweep_mean.csv").read_bytes() == (b / "sweep_mean.csv").read_bytes()
 
+    def test_unsorted_grid_kept_in_order(self, tmp_path):
+        given, ascending = tmp_path / "given", tmp_path / "ascending"
+        args = ["sweep", *SMALL_ARGS, "--method", "pca,sspbad", "--trials", "2"]
+        assert main([*args, "--rank-grid", "8,4", "--output", str(given)]) == 0
+        assert main([*args, "--rank-grid", "4,8", "--output", str(ascending)]) == 0
+        for name, ranks in (("sweep.csv", ["8", "8", "4", "4"] * 2),
+                            ("sweep_mean.csv", ["8", "4"] * 2)):
+            lines = (given / name).read_text().splitlines()
+            assert [line.split(",")[1] for line in lines[1:]] == ranks
+            # the same rows as the ascending grid's, in the given order
+            assert sorted(lines) == sorted((ascending / name).read_text().splitlines())
+
     def test_parallel_matches_serial(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["sweep", *SMALL_ARGS, "--method", "rbad", "--rank-grid", "4,8", "--trials", "3"]
@@ -275,6 +287,13 @@ class TestErrorSurface:
         assert main(["sweep", *SMALL_ARGS, "--method", "pca,pca", "--rank-grid", "4",
                      "--trials", "1", "--output", str(out)]) == 1
         assert "repeat method 'pca'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_ensemble(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", *SMALL_ARGS, "--ensembles", "gaussian,gaussian", "--rank-grid", "4",
+                     "--trials", "1", "--output", str(out)]) == 1
+        assert "kinds repeat ensemble kind 'gaussian'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [

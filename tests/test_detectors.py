@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from linkanom import detectors
+from linkanom import detectors, evaluation
 from linkanom.detectors import (
     DegenerateSpectrumError,
     DetectionReport,
@@ -33,7 +33,7 @@ from linkanom.detectors import (
     sspbad_select,
 )
 from linkanom.ensembles import EnsembleKind, SeedSpec
-from linkanom.evaluation import sweep_rank
+from linkanom.evaluation import sweep_rank, variance_compare
 from linkanom.traffic import ScenarioConfig, assemble_scenario
 
 NOISELESS = dataclasses.replace(
@@ -265,6 +265,72 @@ class TestBuildSspbadCandidates:
     def test_empty_kinds_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             build_sspbad_candidates(np.ones((4, 10)), 2, SeedSpec(0), [])
+
+
+# ensemble sets that name no valid set of families, and the error each raises
+BAD_KINDS = [
+    pytest.param(["gaussian"], r"^kinds item 'gaussian' is no EnsembleKind; .* EnsembleKind\.from_tag$",
+                 id="tag"),
+    pytest.param([EnsembleKind.GAUSSIAN, "bogus"], r"^kinds item 'bogus' is no EnsembleKind",
+                 id="non-member"),
+    pytest.param([], r"^kinds must be nonempty$", id="empty"),
+    pytest.param([EnsembleKind.GAUSSIAN, EnsembleKind.GAUSSIAN],
+                 r"^kinds repeat ensemble kind 'gaussian'$", id="repeated"),
+]
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a model was fitted")
+
+
+class TestEnsembleSets:
+    """Every entry point that takes `kinds` rejects a bad set by name
+    before it assembles a scenario or fits a model."""
+
+    @pytest.fixture()
+    def y(self):
+        return np.random.default_rng(12).normal(size=(10, 50))
+
+    @pytest.mark.parametrize("kinds, message", BAD_KINDS)
+    def test_builder(self, y, kinds, message):
+        with pytest.raises(ValueError, match=message):
+            build_sspbad_candidates(y, 4, SeedSpec(3), kinds)
+
+    @pytest.mark.parametrize("method", ["pca", "rbad", "sspbad"])
+    @pytest.mark.parametrize("kinds, message", BAD_KINDS)
+    def test_detect_method_before_any_fit(self, y, monkeypatch, method, kinds, message):
+        for name in ("build_pca_model", "build_rbad_model", "build_sspbad_candidates"):
+            monkeypatch.setattr(detectors, name, _no_fit)
+        with pytest.raises(ValueError, match=message):
+            detect_method(method, y, [4, 6], SeedSpec(3), kinds=kinds)
+        with pytest.raises(ValueError, match=message):
+            sspbad_detect(y, 4, SeedSpec(3), kinds)
+
+    @pytest.mark.parametrize("kinds, message", BAD_KINDS)
+    def test_sweep_before_any_trial(self, monkeypatch, kinds, message):
+        def assemble(cfg):
+            raise AssertionError("a scenario was assembled")
+
+        monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
+        cfg = ScenarioConfig(m=12, n=24, t=40, r_true=3, anomaly_count=4, seed=SeedSpec(3))
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                sweep_rank(cfg, ["pca", "sspbad"], [4], trials=2, kinds=kinds, workers=workers)
+
+    @pytest.mark.parametrize("kinds, message", BAD_KINDS)
+    def test_variance_compare_before_any_fit(self, y, monkeypatch, kinds, message):
+        for name in ("build_pca_model", "build_rbad_model", "build_sspbad_candidates"):
+            monkeypatch.setattr(evaluation, name, _no_fit)
+        with pytest.raises(ValueError, match=message):
+            variance_compare(y, 4, SeedSpec(3), kinds=kinds)
+
+    def test_order_of_a_valid_set_is_immaterial(self, y):
+        kinds = [EnsembleKind.RADEMACHER, EnsembleKind.GAUSSIAN]
+        want = detect_method("sspbad", y, [4, 6], SeedSpec(3), kinds=kinds[::-1])
+        got = detect_method("sspbad", y, [4, 6], SeedSpec(3), kinds=iter(kinds))
+        for a, b in zip(got, want):
+            assert a.model_summary == b.model_summary
+            np.testing.assert_array_equal(a.spe, b.spe)
 
 
 class TestProject:

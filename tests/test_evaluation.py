@@ -185,6 +185,21 @@ class TestSweepRank:
         assert len(rows) == 3 * 2 * 2
         assert {c.method for c in curves} == {"pca", "rbad", "sspbad"}
 
+    def test_rows_and_curves_follow_the_grid_as_given(self):
+        methods = ["sspbad", "pca"]
+        rows, curves = sweep_rank(SMALL, methods, [8, 4], trials=2)
+        assert [(r.method, r.rank, r.trial) for r in rows] == [
+            (method, rank, trial) for method in methods for rank in (8, 4) for trial in (0, 1)
+        ]
+        assert [(c.method, c.ranks) for c in curves] == [("sspbad", (8, 4)), ("pca", (8, 4))]
+        # the same points as the sorted grid's, only in the given order
+        sorted_rows, sorted_curves = sweep_rank(SMALL, methods, [4, 8], trials=2)
+        by_point = {(r.method, r.rank, r.trial): r for r in sorted_rows}
+        assert rows == [by_point[(r.method, r.rank, r.trial)] for r in rows]
+        for curve, sorted_curve in zip(curves, sorted_curves):
+            assert curve.mean_detection_rate == sorted_curve.mean_detection_rate[::-1]
+            assert curve.std_detection_rate == sorted_curve.std_detection_rate[::-1]
+
     def test_same_master_seed_reproduces(self):
         rows_a, curves_a = sweep_rank(SMALL, ["pca", "rbad"], [4, 8], trials=2)
         rows_b, curves_b = sweep_rank(SMALL, ["pca", "rbad"], [4, 8], trials=2)

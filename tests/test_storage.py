@@ -10,7 +10,6 @@ from linkanom import storage
 from linkanom.cli import main
 from linkanom.ensembles import SeedSpec
 from linkanom.storage import (
-    format_float,
     read_config_file,
     read_labels_csv,
     read_matrix_csv,
@@ -41,7 +40,7 @@ class TestMatrixCsv:
         matrix = np.array([[0.0, -0.0, 1e-5, 5e-324], [0.1, -2.5e300, 123456789.0, 1.0 / 3.0]])
         path = tmp_path / "m.csv"
         write_matrix_csv(matrix, path)
-        want = "".join(",".join(format_float(x) for x in row) + "\n" for row in matrix)
+        want = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in matrix)
         assert path.read_text() == want
 
     def test_ragged_rows_name_line(self, tmp_path):
