@@ -8,6 +8,8 @@ used; flags override config-file values, which override defaults.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +60,18 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
+def _parse_path(text: str) -> str:
+    """`text` as a path the OS can name. Text the locale cannot encode (a
+    config file is UTF-8, while an ASCII locale hands paths over as bytes)
+    names the file whose name is its UTF-8 bytes, as `config.echo` wrote
+    them."""
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        return os.fsdecode(text.encode("utf-8", "surrogateescape"))
+    return text
+
+
 @dataclass(frozen=True)
 class _Field:
     name: str
@@ -87,13 +101,15 @@ _FIELDS = [
     _Field("trials", int, 20, "number of sweep trials"),
     _Field("workers", int, 1, "parallel trial workers"),
     _Field("center", _parse_bool, False, "center traffic rows in rbad/sspbad models"),
-    _Field("input", str, None, "scenario directory to read"),
-    _Field("y", str, None, "traffic matrix CSV (alternative to --input)"),
-    _Field("labels", str, None, "labels CSV (alternative to --input)"),
-    _Field("output", str, ".", "output directory"),
+    _Field("input", _parse_path, None, "scenario directory to read"),
+    _Field("y", _parse_path, None, "traffic matrix CSV (alternative to --input)"),
+    _Field("labels", _parse_path, None, "labels CSV (alternative to --input)"),
+    _Field("output", _parse_path, ".", "output directory"),
 ]
 _FIELD_MAP = {field.name: field for field in _FIELDS}
 
+
+@functools.cache  # parse_args keeps no state in the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkanom",

@@ -397,8 +397,12 @@ def detect_ranks(
     the residual at lo as w - B[:, :lo] z[:lo]. The basis is orthonormal,
     so each further normal column removes its own coordinate:
     SPE(r) = SPE(lo) - sum_{lo <= i < r} z_i^2, exact up to a roundoff of
-    order eps * SPE(lo). For a single rank this is the arithmetic of
-    `project`, bit for bit. Each rank's threshold is `q_threshold`'s.
+    order eps * SPE(lo). The squares are summed one segment between the
+    grid's ranks at a time, each sum starting from the one before, so each
+    has the bits of a cumsum's row; only for a single snapshot does numpy
+    sum a segment pairwise, which moves its SPE by roundoff. For a single
+    rank this is the arithmetic of `project`, bit for bit. Each rank's
+    threshold is `q_threshold`'s.
     """
     y = _traffic(y, model.m).y
     ranks = list(ranks)
@@ -413,10 +417,18 @@ def detect_ranks(
     residual = model.basis[:, :lo] @ z[:lo]
     np.subtract(work, residual, out=residual)
     spe_lo = np.sum(np.square(residual, out=residual), axis=0)
-    removed = np.cumsum(z[lo:] ** 2, axis=0)
+    # z[:lo] has served the residual, so z[lo:] is squared in place. Row
+    # r - 1 then takes the sum up to rank r, and the next segment's sum
+    # starts from it: numpy sums down axis 0 row by row, as a cumsum adds
+    np.square(z[lo:], out=z[lo:])
+    spes, first = {lo: spe_lo}, lo
+    for rank in sorted(set(ranks) - {lo}):
+        z[rank - 1] = np.sum(z[first:rank], axis=0)
+        spes[rank] = spe_lo - z[rank - 1]
+        first = rank - 1
     reports = []
     for rank in ranks:
-        spe = spe_lo if rank == lo else spe_lo - removed[rank - lo - 1]
+        spe = spes[rank]
         try:
             threshold = q_threshold(model.variances, rank, beta)
         except DegenerateSpectrumError:

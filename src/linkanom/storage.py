@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _FLOAT = "%.17g"
+# every text file is UTF-8 whatever the locale; a path the OS gave as
+# undecodable bytes goes back to disk as the same bytes
+_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 # (NAME.tmp, NAME) of every output written inside the open `_all_or_none`
 # block; context-local, so no other thread or caller sees the list
@@ -72,7 +75,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     block of its own if none is open). `lines` may be lazy; it is read
     only once the file is open and staged."""
     tmp = path.with_name(path.name + ".tmp")
-    with _all_or_none(), open(tmp, "w") as handle:
+    with _all_or_none(), open(tmp, "w", **_TEXT) as handle:
         # staged once created, so a failed open never removes what it did not create
         _staged.get().append((tmp, path))
         handle.writelines(lines)
@@ -89,7 +92,7 @@ def write_table(header: Sequence[str], rows: Iterable[Sequence[object]], path: s
 
 def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) of each nonblank line."""
-    with open(path) as handle:
+    with open(path, **_TEXT) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if line:

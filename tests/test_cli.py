@@ -2,13 +2,14 @@
 reproducibility, and error-path cleanup."""
 
 import errno
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from linkanom import storage
+from linkanom import cli, storage
 from linkanom.cli import main
 from linkanom.storage import read_config_file, read_matrix_csv
 
@@ -18,10 +19,15 @@ SMALL_ARGS = [
 ]
 
 
-def run_cli(args):
+def run_cli(args, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "linkanom.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "linkanom.cli", *args], capture_output=True, text=True, env=env
     )
+
+
+def echo_without_output(directory):
+    lines = (directory / "config.echo").read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if not line.startswith("output = ")]
 
 
 class TestGenerate:
@@ -325,3 +331,38 @@ class TestErrorSurface:
         matrix = read_matrix_csv(tmp_path / "scen" / "Y.csv")
         assert matrix.shape == (24, 90)
         assert np.isfinite(matrix).all()
+
+
+class TestLocale:
+    def test_non_ascii_path_under_an_ascii_locale(self, tmp_path):
+        # an ASCII locale hands the path over as bytes; every file is UTF-8
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C"}
+        scen = tmp_path / "résultats"
+        proc = run_cli(["generate", "--m", "12", "--n", "24", "--t", "40",
+                        "--output", str(scen)], env)
+        assert proc.returncode == 0, proc.stderr
+        assert f"output = {scen}\n".encode() in (scen / "config.echo").read_bytes()
+        # the echo's output path names the scenario directory again
+        proc = run_cli(["detect", "--config", str(scen / "config.echo"), "--input", str(scen),
+                        "--rank", "2"], env)
+        assert proc.returncode == 0, proc.stderr
+        assert (scen / "report.csv").exists()
+
+
+class TestParser:
+    def test_cached_parser_carries_nothing_between_calls(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        with pytest.raises(SystemExit) as rejected:
+            main(["sweep", "--method", "pca", "--trials", "3", "--rank-grid", "8", "--bogus"])
+        assert rejected.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        runs = {
+            "generate": ["generate", *SMALL_ARGS],
+            "sweep": ["sweep", *SMALL_ARGS, "--method", "rbad", "--rank-grid", "4"],
+        }
+        for name, argv in runs.items():
+            here, fresh = tmp_path / name, tmp_path / f"fresh-{name}"
+            assert main([*argv, "--output", str(here)]) == 0
+            proc = run_cli([*argv, "--output", str(fresh)])
+            assert proc.returncode == 0, proc.stderr
+            assert echo_without_output(here) == echo_without_output(fresh)

@@ -660,6 +660,17 @@ def _reference_models(stream):
     return sc, models
 
 
+def _cumsum_spes(model, y, grid):
+    """SPE at each rank of `grid` as a full-height cumsum of the removed
+    coordinates gives it: SPE(lo) - cumsum(z[lo:]**2)[r - lo - 1]."""
+    work = y - model.mean[:, None] if model.centered else y
+    lo, hi = min(grid), max(grid)
+    z = model.basis[:, :hi].T @ work
+    spe_lo = np.sum((work - model.basis[:, :lo] @ z[:lo]) ** 2, axis=0)
+    removed = np.cumsum(z[lo:] ** 2, axis=0)
+    return [spe_lo if rank == lo else spe_lo - removed[rank - lo - 1] for rank in grid]
+
+
 class TestDetectRanks:
     @pytest.mark.parametrize("stream", [0, 1])
     def test_matches_per_rank_detect_on_reference_scenarios(self, stream):
@@ -687,6 +698,24 @@ class TestDetectRanks:
                 want = detect(dataclasses.replace(model, rank=rank), y)
                 np.testing.assert_allclose(report.spe, want.spe, rtol=1e-12, atol=1e-12 * scale)
                 np.testing.assert_array_equal(report.flags, want.flags)
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_reference_spe_bits_are_a_cumsums(self, stream):
+        sc, models = _reference_models(stream)
+        for model in models:
+            reports = detect_ranks(model, sc.y, REFERENCE_GRID)
+            for report, want in zip(reports, _cumsum_spes(model, sc.y, REFERENCE_GRID)):
+                np.testing.assert_array_equal(report.spe, want)
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_grid_spe_bits_are_a_cumsums(self, center):
+        rng = np.random.default_rng(44)
+        y = rng.normal(size=(12, 60)) + rng.normal(size=(12, 1))
+        model = build_rbad_model(y, 1, SeedSpec(45), center=center)
+        for grid in ([5, 2, 9, 2, 5], [7], [11, 1]):
+            reports = detect_ranks(model, y, grid)
+            for report, want in zip(reports, _cumsum_spes(model, y, grid)):
+                np.testing.assert_array_equal(report.spe, want)
 
     def test_grid_validation(self):
         y = np.random.default_rng(42).normal(size=(6, 30))
