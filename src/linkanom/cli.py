@@ -3,6 +3,8 @@ and tabulate captured variances.
 
 Every run writes a `config.echo` with the fully-resolved parameters it
 used; flags override config-file values, which override defaults.
+`_resolve` settles every value before a subcommand runs, and the
+subcommand gets a read-only view of it, so the echo is what ran.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,12 +55,19 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(item) for item in text.split(",") if item.strip())
-
-
 def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(item.strip() for item in text.split(",") if item.strip())
+    items = tuple(item.strip() for item in text.split(",") if item.strip())
+    if not items:
+        raise ValueError(f"expected at least one comma-separated item, got {text!r}")
+    return items
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(item) for item in _parse_str_list(text))
+
+
+def _parse_kinds(text: str) -> tuple[EnsembleKind, ...]:
+    return tuple(EnsembleKind.from_tag(tag) for tag in _parse_str_list(text))
 
 
 def _parse_path(text: str) -> str:
@@ -95,8 +105,7 @@ _FIELDS = [
     _Field("rank", int, 24, "normal-subspace rank"),
     _Field("power_exponent", int, DEFAULT_POWER_EXPONENT, "power-iteration exponent for rbad"),
     _Field("beta", float, DEFAULT_BETA, "Q-statistic false-alarm level"),
-    _Field("ensembles", _parse_str_list, tuple(k.value for k in EnsembleKind),
-           "sspbad ensemble tags, comma-separated"),
+    _Field("ensembles", _parse_kinds, tuple(EnsembleKind), "sspbad ensemble tags, comma-separated"),
     _Field("rank_grid", _parse_int_list, DEFAULT_RANK_GRID, "ranks to sweep, comma-separated"),
     _Field("trials", int, 20, "number of sweep trials"),
     _Field("workers", int, 1, "parallel trial workers"),
@@ -126,9 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict[str, Any]:
-    """defaults < config file < explicit flags."""
-    fields = _SUBCOMMANDS[args.subcommand].fields
+def _resolve(args: argparse.Namespace) -> Mapping[str, Any]:
+    """defaults < config file < explicit flags, every value settled here
+    and returned read-only."""
+    subcommand = _SUBCOMMANDS[args.subcommand]
     file_values: dict[str, str] = {}
     if args.config:
         for key, value in read_config_file(args.config).items():
@@ -138,53 +148,51 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
                 raise ValueError(f"unknown config key {key!r} in {args.config}")
             file_values[key] = value
     resolved: dict[str, Any] = {"subcommand": args.subcommand}
-    for field_name in fields:
+    for field_name in subcommand.fields:
         field = _FIELD_MAP[field_name]
         raw = getattr(args, field_name)
         if raw is None and field_name in file_values:
             raw = file_values[field_name]
         if raw is None:
-            resolved[field_name] = field.default
+            resolved[field_name] = subcommand.defaults.get(field_name, field.default)
         else:
             try:
                 resolved[field_name] = field.parse(raw)
             except ValueError as exc:
                 raise ValueError(f"bad value for {field_name}: {exc}") from None
-    return resolved
+    if "anomaly_count" in resolved and resolved["anomaly_count"] is None:
+        resolved["anomaly_count"] = default_anomaly_count(resolved["m"], resolved["t"])
+    sources = [key for key in ("input", "y", "labels") if resolved.get(key)]
+    if sources[:1] == ["input"] and len(sources) > 1:
+        raise ValueError(f"input and {sources[1]} both name the traffic: give input, "
+                         "or y (with labels)")
+    return MappingProxyType(resolved)
 
 
 def _echo_value(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
-        return ",".join(str(item) for item in value)
+        return ",".join(_echo_value(item) for item in value)
+    if isinstance(value, EnsembleKind):
+        return value.value
     return str(value)
 
 
-def _scenario_config(cfg: dict[str, Any]) -> ScenarioConfig:
-    anomaly_count = cfg["anomaly_count"]
-    if anomaly_count is None:
-        anomaly_count = default_anomaly_count(cfg["m"], cfg["t"])
-        cfg["anomaly_count"] = anomaly_count  # echo the resolved value
+def _scenario_config(cfg: Mapping[str, Any]) -> ScenarioConfig:
     return ScenarioConfig(
         m=cfg["m"],
         n=cfg["n"],
         t=cfg["t"],
         r_true=cfg["r_true"],
         routing_density=cfg["routing_density"],
-        anomaly_count=anomaly_count,
+        anomaly_count=cfg["anomaly_count"],
         noise_variance=cfg["noise_variance"],
         seed=SeedSpec(cfg["master_seed"], cfg["stream_index"]),
     )
 
 
-def _ensemble_kinds(cfg: dict[str, Any]) -> list[EnsembleKind]:
-    kinds = [EnsembleKind.from_tag(tag) for tag in cfg["ensembles"]]
-    cfg["ensembles"] = tuple(kind.value for kind in kinds)  # normalized echo
-    return kinds
-
-
-def _load_traffic(cfg: dict[str, Any], need_labels: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _load_traffic(cfg: Mapping[str, Any], need_labels: bool) -> tuple[np.ndarray, np.ndarray | None]:
     if cfg.get("input"):
         return read_scenario(cfg["input"])
     if cfg.get("y"):
@@ -194,7 +202,7 @@ def _load_traffic(cfg: dict[str, Any], need_labels: bool) -> tuple[np.ndarray, n
     raise ValueError("no input given: pass --input SCENARIO_DIR or --y MATRIX_CSV")
 
 
-def _cmd_generate(cfg: dict[str, Any], out: Path) -> None:
+def _cmd_generate(cfg: Mapping[str, Any], out: Path) -> None:
     scenario_cfg = _scenario_config(cfg)
     scenario = assemble_scenario(scenario_cfg)
     write_scenario(scenario, out)
@@ -204,17 +212,15 @@ def _cmd_generate(cfg: dict[str, Any], out: Path) -> None:
     )
 
 
-def _cmd_detect(cfg: dict[str, Any], out: Path) -> None:
-    methods = cfg["method"] or (METHOD_PCA,)
-    if len(methods) != 1:
+def _cmd_detect(cfg: Mapping[str, Any], out: Path) -> None:
+    if len(cfg["method"]) != 1:
         raise ValueError("detect takes exactly one --method")
-    cfg["method"] = methods
-    (method,) = methods
+    (method,) = cfg["method"]
     y, labels = _load_traffic(cfg, need_labels=True)
     seed = SeedSpec(cfg["master_seed"], cfg["stream_index"])
     (report,) = detect_method(method, y, [cfg["rank"]], seed, beta=cfg["beta"],
                               power_exponent=cfg["power_exponent"],
-                              kinds=_ensemble_kinds(cfg), center=cfg["center"])
+                              kinds=cfg["ensembles"], center=cfg["center"])
     q_beta = report.threshold.q_beta if report.threshold is not None else float("nan")
     columns = zip(report.spe.tolist(), report.flags.tolist(), labels.tolist())
     rows = [(j, spe, q_beta, int(flag), int(label)) for j, (spe, flag, label) in enumerate(columns)]
@@ -227,19 +233,15 @@ def _cmd_detect(cfg: dict[str, Any], out: Path) -> None:
     )
 
 
-def _cmd_sweep(cfg: dict[str, Any], out: Path) -> None:
-    methods = cfg["method"] or METHODS
-    cfg["method"] = tuple(methods)
-    scenario_cfg = _scenario_config(cfg)
-    kinds = _ensemble_kinds(cfg)
+def _cmd_sweep(cfg: Mapping[str, Any], out: Path) -> None:
     rows, curves = sweep_rank(
-        scenario_cfg,
-        methods,
+        _scenario_config(cfg),
+        cfg["method"],
         cfg["rank_grid"],
         cfg["trials"],
         beta=cfg["beta"],
         power_exponent=cfg["power_exponent"],
-        kinds=kinds,
+        kinds=cfg["ensembles"],
         center=cfg["center"],
         workers=cfg["workers"],
     )
@@ -254,11 +256,10 @@ def _cmd_sweep(cfg: dict[str, Any], out: Path) -> None:
     print(f"wrote {len(rows)} sweep rows over {cfg['trials']} trials to {out}")
 
 
-def _cmd_variances(cfg: dict[str, Any], out: Path) -> None:
+def _cmd_variances(cfg: Mapping[str, Any], out: Path) -> None:
     y, _ = _load_traffic(cfg, need_labels=False)
-    kinds = _ensemble_kinds(cfg)
     seed = SeedSpec(cfg["master_seed"], cfg["stream_index"])
-    table = variance_compare(y, cfg["rank"], seed, cfg["power_exponent"], kinds)
+    table = variance_compare(y, cfg["rank"], seed, cfg["power_exponent"], cfg["ensembles"])
     rows = [(i, *row) for i, row in enumerate(table.variances.tolist())]
     write_table(("index", *table.methods), rows, out / "variances.csv")
     worst = max(table.top_rank_deviation.items(), key=lambda item: item[1])
@@ -269,9 +270,10 @@ def _cmd_variances(cfg: dict[str, Any], out: Path) -> None:
 
 
 class _Subcommand(NamedTuple):
-    run: Callable[[dict[str, Any], Path], None]
+    run: Callable[[Mapping[str, Any], Path], None]
     help: str
     fields: tuple[str, ...]
+    defaults: Mapping[str, Any] = MappingProxyType({})  # over the fields' own
 
 
 _SCENARIO_FIELDS = ("m", "n", "t", "r_true", "routing_density", "anomaly_count",
@@ -281,10 +283,12 @@ _SUBCOMMANDS = {
                             (*_SCENARIO_FIELDS, "output")),
     "detect": _Subcommand(_cmd_detect, "flag anomalous snapshots in a scenario",
                           ("input", "y", "labels", "method", "rank", "power_exponent", "beta",
-                           "ensembles", "center", "master_seed", "stream_index", "output")),
+                           "ensembles", "center", "master_seed", "stream_index", "output"),
+                          {"method": (METHOD_PCA,)}),
     "sweep": _Subcommand(_cmd_sweep, "detection rate vs. normal-subspace rank over many trials",
                          (*_SCENARIO_FIELDS, "method", "rank_grid", "trials", "beta",
-                          "power_exponent", "ensembles", "center", "workers", "output")),
+                          "power_exponent", "ensembles", "center", "workers", "output"),
+                         {"method": METHODS}),
     "variances": _Subcommand(_cmd_variances,
                              "captured-variance table for all methods on one scenario",
                              ("input", "y", "rank", "power_exponent", "ensembles", "master_seed",

@@ -124,6 +124,9 @@ class DetectionReport:
 
 def _check_rank(rank: int, m: int, name: str = "rank") -> None:
     # rank m would leave an empty residual subspace and an undefined Q_beta
+    if m < 2:
+        _check_int(name, rank, 1)  # a non-integer is named as such for every m
+        raise ValueError(f"{name} must be in [1, m - 1], which needs m >= 2 links, got m = {m}")
     _check_int(name, rank, 1, m - 1)
 
 

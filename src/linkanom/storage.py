@@ -200,13 +200,17 @@ def write_config_file(entries: Mapping[str, object], path: str | Path) -> None:
 def read_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     entries: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, line in _content_lines(path):
         if line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno} is not a key = value pair")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in linenos:
+            raise ValueError(f"{path}: key {key!r} is set on line {linenos[key]} "
+                             f"and again on line {lineno}")
+        entries[key], linenos[key] = value, lineno
     return entries
 
 

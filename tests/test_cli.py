@@ -11,12 +11,15 @@ import pytest
 
 from linkanom import cli, storage
 from linkanom.cli import main
+from linkanom.ensembles import EnsembleKind
 from linkanom.storage import read_config_file, read_matrix_csv
 
 SMALL_ARGS = [
     "--m", "24", "--n", "48", "--t", "90", "--r-true", "6",
     "--anomaly-count", "10", "--master-seed", "9",
 ]
+
+EMPTY_METHOD = "bad value for method: expected at least one comma-separated item, got ''"
 
 
 def run_cli(args, env=None):
@@ -308,14 +311,48 @@ class TestErrorSurface:
         (["detect", "--y", "{scen}/Y.csv"], "--y requires --labels"),
         (["detect", "--input", "{scen}", "--method", "pca,rbad"],
          "detect takes exactly one --method"),
+        # an empty method list names no method, even where a default exists
+        (["detect", "--input", "{scen}", "--method", ""], EMPTY_METHOD),
+        (["sweep", "--method", ""], EMPTY_METHOD),
+        (["detect", "--input", "{scen}", "--config", "{tmp}/empty-method.cfg"], EMPTY_METHOD),
+        (["sweep", "--config", "{tmp}/empty-method.cfg"], EMPTY_METHOD),
+        # a scenario directory and a traffic file are two traffic sources
+        (["detect", "--input", "{scen}", "--labels", "{scen}/labels.csv"],
+         "input and labels both name the traffic"),
+        (["variances", "--input", "{scen}", "--y", "{scen}/Y.csv"],
+         "input and y both name the traffic"),
+        (["detect", "--input", "{scen}", "--config", "{tmp}/repeated-rank.cfg"],
+         "key 'rank' is set on line 1 and again on line 2"),
     ])
     def test_bad_arguments_exit_1(self, tmp_path, capsys, args, message):
         scen = tmp_path / "scen"
         assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
+        (tmp_path / "empty-method.cfg").write_text("method =\n")
+        (tmp_path / "repeated-rank.cfg").write_text("rank = 8\nrank = 3\n")
         out = tmp_path / "out"
-        argv = [arg.format(scen=scen) for arg in args]
+        argv = [arg.format(scen=scen, tmp=tmp_path) for arg in args]
         assert main([*argv, "--output", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_echo_with_input_and_y_is_an_error(self, tmp_path, capsys):
+        scen, first, out = tmp_path / "scen", tmp_path / "r1", tmp_path / "r2"
+        assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
+        assert main(["detect", "--input", str(scen), "--rank", "6", "--output", str(first)]) == 0
+        # the echo names input; flags that name other traffic do not replace it
+        assert main(["detect", "--config", str(first / "config.echo"), "--y", str(scen / "Y.csv"),
+                     "--labels", str(scen / "labels.csv"), "--output", str(out)]) == 1
+        assert "error: input and y both name the traffic" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rank_needs_two_links(self, tmp_path, capsys):
+        scen, out = tmp_path / "scen", tmp_path / "out"
+        assert main(["generate", "--m", "1", "--n", "2", "--t", "3", "--r-true", "1",
+                     "--output", str(scen)]) == 0
+        assert main(["detect", "--input", str(scen), "--rank", "1", "--output", str(out)]) == 1
+        assert "error: rank must be in [1, m - 1], which needs m >= 2 links, got m = 1" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -347,6 +384,28 @@ class TestLocale:
                         "--rank", "2"], env)
         assert proc.returncode == 0, proc.stderr
         assert (scen / "report.csv").exists()
+
+
+class TestResolve:
+    def test_subcommands_read_settled_values(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def record(cfg, out):
+            with pytest.raises(TypeError):
+                cfg["method"] = ("rbad",)  # read-only: the echo is what ran
+            seen[cfg["subcommand"]] = dict(cfg)
+
+        for name in ("detect", "sweep"):
+            monkeypatch.setitem(cli._SUBCOMMANDS, name, cli._SUBCOMMANDS[name]._replace(run=record))
+        assert main(["detect", "--input", "scen", "--ensembles", " MARKOV,gaussian",
+                     "--output", str(tmp_path / "detect")]) == 0
+        assert main(["sweep", "--m", "10", "--t", "30", "--output", str(tmp_path / "sweep")]) == 0
+        assert seen["detect"]["method"] == ("pca",)
+        assert seen["detect"]["ensembles"] == (EnsembleKind.MARKOV, EnsembleKind.GAUSSIAN)
+        assert seen["sweep"]["method"] == ("pca", "rbad", "sspbad")
+        assert seen["sweep"]["anomaly_count"] == 0  # round(0.001 * 10 * 30)
+        echo = read_config_file(tmp_path / "detect" / "config.echo")
+        assert (echo["method"], echo["ensembles"]) == ("pca", "markov-column-stochastic,gaussian")
 
 
 class TestParser:

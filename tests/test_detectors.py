@@ -915,6 +915,29 @@ class TestInputValidation:
         rbad = build_rbad_model(y, 2, seed, power_exponent=np.int64(1))
         np.testing.assert_array_equal(rbad.basis, build_rbad_model(y, 2, seed, 1).basis)
 
+    def test_one_link_admits_no_rank(self):
+        # ranks lie in [1, m - 1], so one link admits none
+        y = np.random.default_rng(50).normal(size=(1, 40))
+        model = build_pca_model(np.random.default_rng(50).normal(size=(2, 40)), 1)
+        cfg = ScenarioConfig(m=1, n=2, t=40, r_true=1, anomaly_count=1, seed=SeedSpec(51))
+        calls = [
+            (lambda: build_pca_model(y, 1), "rank"),
+            (lambda: detect_method("rbad", y, [1], SeedSpec(1)), "rank"),
+            (lambda: q_threshold(np.ones(1), 1, 0.005), "rank"),
+            (lambda: SubspaceModel(model.basis[:1, :1], model.variances[:1], 1, "pca", True,
+                                   model.mean[:1]), "rank"),
+            (lambda: sweep_rank(cfg, ["pca"], [1], 1), "rank grid value"),
+        ]
+        for call, name in calls:
+            message = rf"^{name} must be in \[1, m - 1\], which needs m >= 2 links, got m = 1$"
+            with pytest.raises(ValueError, match=message):
+                call()
+        # a rank below 1, or no integer, is named as for any m
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+            build_pca_model(y, 0)
+        with pytest.raises(ValueError, match=r"^rank must be an integer, got 1.0$"):
+            build_pca_model(y, 1.0)
+
     def test_subspace_model_shapes_rejected(self):
         model = build_pca_model(np.random.default_rng(49).normal(size=(6, 30)), 2)
         with pytest.raises(ValueError, match=r"^basis must be square, got \(6, 5\)$"):

@@ -231,6 +231,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="line 2"):
             read_config_file(path)
 
+    def test_repeated_key(self, tmp_path):
+        # an echo never repeats a key, so every echo still reads back
+        path = tmp_path / "c.txt"
+        path.write_text("rank = 8\n# comment\nmethod = pca\nrank = 3\n")
+        with pytest.raises(ValueError, match="key 'rank' is set on line 1 and again on line 4$"):
+            read_config_file(path)
+
 
 class TestScenarioDir:
     def test_write_then_read(self, tmp_path):
