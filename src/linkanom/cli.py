@@ -194,7 +194,7 @@ def _scenario_config(cfg: Mapping[str, Any]) -> ScenarioConfig:
 
 def _load_traffic(cfg: Mapping[str, Any], need_labels: bool) -> tuple[np.ndarray, np.ndarray | None]:
     if cfg.get("input"):
-        return read_scenario(cfg["input"])
+        return read_scenario(cfg["input"], labels=need_labels)
     if cfg.get("y"):
         if need_labels and not cfg.get("labels"):
             raise ValueError("--y requires --labels (or use --input with a scenario directory)")

@@ -18,6 +18,7 @@ threshold derived from the residual variance spectrum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence
@@ -133,6 +134,15 @@ def _check_rank(rank: int, m: int, name: str = "rank") -> None:
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def _check_beta(beta: float) -> None:
+    if not isinstance(beta, numbers.Real):
+        raise ValueError(f"beta must be a real number, got {beta!r}")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie strictly between 0 and 1, got {beta}")
+    if 1.0 - beta == 1.0:  # c_beta, the (1 - beta) quantile, would be infinite
+        raise ValueError(f"beta must exceed 2**-54 so that 1 - beta rounds below 1, got {beta}")
 
 
 def _check_kinds(kinds: Iterable[EnsembleKind] | None) -> tuple[EnsembleKind, ...]:
@@ -331,16 +341,13 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     admits no threshold at this rank (base <= 0 included) raises
     DegenerateSpectrumError.
     """
+    _check_beta(beta)
     variances = np.asarray(variances, dtype=float)
     if variances.ndim != 1:
         raise ValueError(f"variances must be 1-D, got shape {variances.shape}")
     _check_rank(rank, variances.shape[0])
     if not np.isfinite(variances).all():
         raise ValueError("variances contain non-finite values (NaN or inf)")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie strictly between 0 and 1, got {beta}")
-    if 1.0 - beta == 1.0:  # c_beta, the (1 - beta) quantile, would be infinite
-        raise ValueError(f"beta must exceed 2**-54 so that 1 - beta rounds below 1, got {beta}")
     scale = max(abs(variances[0]), 1.0)
     if (variances[1:] - variances[:-1] > 1e-10 * scale).any():
         raise ValueError("variances must be sorted in descending order")
@@ -479,6 +486,7 @@ def detect_method(
     once (one for pca and rbad, one per ensemble for sspbad; pca is always
     centered and draws nothing from `seed`), run `detect_ranks` on each and
     keep the `sspbad_select` winner rank by rank."""
+    _check_beta(beta)
     ranks = list(ranks)
     if not ranks:
         raise ValueError("ranks must be nonempty")

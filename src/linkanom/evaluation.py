@@ -22,6 +22,7 @@ from .detectors import (
     METHOD_RBAD,
     METHOD_SSPBAD,
     DetectionReport,
+    _check_beta,
     _check_kinds,
     _check_method,
     _check_rank,
@@ -201,9 +202,9 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
 
 class _OneBlasThread:
     """Holds OpenBLAS, whose thread count is process-wide, at one thread
-    while any pooled sweep runs; the count from before the first of
-    overlapping sweeps is restored when the last one leaves. A no-op
-    without `_openblas_threads`."""
+    while any sweep runs; the count from before the first of overlapping
+    sweeps is restored when the last one leaves. A no-op without
+    `_openblas_threads`."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -284,17 +285,20 @@ def sweep_rank(
 
     Trial i draws its scenario from stream cfg.seed.stream_index + i, so
     the sweep is fully determined by (cfg, methods, rank_grid, trials,
-    beta, power_exponent, kinds, center); trials may run in parallel
-    (workers > 1) without changing any emitted number because rows are
-    reduced in trial order either way. Rows come one (method, rank) point
-    at a time, methods and ranks in the order given and trials ascending
-    within a point; the curves follow the same order.
+    beta, power_exponent, kinds, center). The trials run on a pool of at
+    most min(workers, trials) threads, and no emitted number depends on
+    `workers`, because rows are reduced in trial order. Rows come one
+    (method, rank) point at a time, methods and ranks in the order given
+    and trials ascending within a point; the curves follow the same order.
+    The caller's numpy error state and other context-local settings do not
+    carry into the trial threads.
 
-    While a pool runs, numpy's bundled OpenBLAS is held at one thread, so
-    the trial threads do not each start BLAS threads of their own; the
-    previous count is restored afterwards, also when a trial raises. Where
-    numpy.libs holds no OpenBLAS exposing its thread count this is a no-op.
+    While the pool runs, numpy's bundled OpenBLAS is held at one thread,
+    so no trial thread starts BLAS threads of its own; the previous count
+    is restored afterwards, also when a trial raises. Where numpy.libs
+    holds no OpenBLAS exposing its thread count this is a no-op.
     """
+    _check_beta(beta)
     methods = list(methods)
     if not methods:
         raise ValueError("methods must be nonempty")
@@ -317,11 +321,8 @@ def sweep_rank(
     def run(trial: int) -> list[MetricRow]:
         return _run_trial(cfg, trial, methods, rank_grid, beta, power_exponent, kinds, center)
 
-    if workers > 1:
-        with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(run, range(trials)))
-    else:
-        per_trial = [run(trial) for trial in range(trials)]
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
+        per_trial = list(pool.map(run, range(trials)))
 
     # each trial returns its rows point by point, methods and ranks in the
     # order given, so the transposed trial lists hold one column per point

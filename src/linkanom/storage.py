@@ -243,7 +243,10 @@ def _read_traffic(y_path: str | Path, labels_path: str | Path | None
     return y, labels
 
 
-def read_scenario(directory: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back the traffic matrix and labels of a scenario directory."""
+def read_scenario(directory: str | Path, labels: bool = True
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read back the traffic matrix and labels of a scenario directory;
+    with labels=False only the traffic matrix is read, and None stands
+    for the labels."""
     directory = Path(directory)
-    return _read_traffic(directory / "Y.csv", directory / "labels.csv")
+    return _read_traffic(directory / "Y.csv", directory / "labels.csv" if labels else None)

@@ -268,6 +268,19 @@ class TestVariances:
                      "--output", str(by_y)]) == 0
         assert (by_dir / "variances.csv").read_bytes() == (by_y / "variances.csv").read_bytes()
 
+    def test_input_reads_only_the_traffic(self, tmp_path):
+        # the table never uses labels, so a scenario without them will do
+        scen = tmp_path / "scen"
+        assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
+        full = tmp_path / "full"
+        assert main(["variances", "--input", str(scen), "--rank", "6",
+                     "--output", str(full)]) == 0
+        (scen / "labels.csv").unlink()
+        bare = tmp_path / "bare"
+        assert main(["variances", "--input", str(scen), "--rank", "6",
+                     "--output", str(bare)]) == 0
+        assert (bare / "variances.csv").read_bytes() == (full / "variances.csv").read_bytes()
+
     def test_rank_beyond_the_traffic_is_an_error(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         assert main(["generate", *SMALL_ARGS, "--noise-variance", "0", "--anomaly-count", "0",

@@ -333,6 +333,50 @@ class TestEnsembleSets:
             np.testing.assert_array_equal(a.spe, b.spe)
 
 
+# values of beta that admit no threshold, and the error each raises
+BAD_BETAS = [
+    pytest.param(1.5, r"^beta must lie strictly between 0 and 1, got 1.5$", id="above-1"),
+    pytest.param(0.0, r"^beta must lie strictly between 0 and 1, got 0.0$", id="zero"),
+    pytest.param(math.nan, r"^beta must lie strictly between 0 and 1, got nan$", id="nan"),
+    pytest.param(1e-17, r"^beta must exceed 2\*\*-54 so that 1 - beta rounds below 1", id="tiny"),
+    pytest.param("0.1", r"^beta must be a real number, got '0.1'$", id="text"),
+]
+
+
+class TestBetaFirst:
+    """Every entry point that takes beta rejects a bad one by name before
+    it looks at anything else: before a spectrum is checked, a model fitted
+    or a scenario assembled."""
+
+    @pytest.mark.parametrize("beta, message", BAD_BETAS)
+    def test_q_threshold(self, beta, message):
+        with pytest.raises(ValueError, match=message):
+            q_threshold([[2.0, 1.0]], 7, beta)  # neither a 1-D spectrum nor a rank of it
+
+    @pytest.mark.parametrize("method", ["pca", "rbad", "sspbad"])
+    @pytest.mark.parametrize("beta, message", BAD_BETAS)
+    def test_detect_method_before_any_fit(self, monkeypatch, method, beta, message):
+        for name in ("build_pca_model", "build_rbad_model", "build_sspbad_candidates"):
+            monkeypatch.setattr(detectors, name, _no_fit)
+        y = np.random.default_rng(12).normal(size=(10, 50))
+        with pytest.raises(ValueError, match=message):
+            detect_method(method, y, [4, 6], SeedSpec(3), beta=beta)
+
+    @pytest.mark.parametrize("beta, message", BAD_BETAS)
+    def test_sweep_before_any_trial(self, monkeypatch, beta, message):
+        def assemble(cfg):
+            raise AssertionError("a scenario was assembled")
+
+        monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
+        cfg = ScenarioConfig(m=12, n=24, t=40, r_true=3, anomaly_count=4, seed=SeedSpec(3))
+        with pytest.raises(ValueError, match=message):
+            sweep_rank(cfg, ["pca", "sspbad"], [4], trials=2, beta=beta)
+
+    def test_numpy_floats_are_betas(self):
+        want = q_threshold([2.0, 1.0, 0.5], 1, 0.005)
+        assert q_threshold([2.0, 1.0, 0.5], 1, np.float64(0.005)) == want
+
+
 class TestProject:
     def test_containment_at_rank_m_minus_1(self):
         rng = np.random.default_rng(10)

@@ -290,15 +290,17 @@ class TestSweepRank:
         got, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=(k for k in kinds))
         assert got == want
 
-    @pytest.mark.parametrize("trials, workers", [(2, 4), (6, 3)])
+    @pytest.mark.parametrize("trials, workers", [(2, 4), (6, 3), (3, 1)])
     def test_pool_runs_at_most_min_of_workers_and_trials(self, monkeypatch, trials, workers):
-        # the pool starts a thread per submitted trial, up to `workers`
+        # the pool starts a thread per submitted trial, up to `workers`;
+        # a serial sweep runs on it too, not on the caller's thread
         idents = set()
         real = evaluation._run_trial
         monkeypatch.setattr(evaluation, "_run_trial",
                             lambda *a: idents.add(threading.get_ident()) or real(*a))
         sweep_rank(SMALL, ["pca"], [6], trials=trials, workers=workers)
         assert len(idents) <= min(workers, trials)
+        assert threading.get_ident() not in idents
 
 
 class TestTrialWorkingSet:
@@ -383,7 +385,8 @@ _BLAS_THREADS = evaluation._openblas_threads()
 
 @pytest.mark.skipif(_BLAS_THREADS is None, reason="no OpenBLAS thread-count symbols in numpy.libs")
 class TestPoolBlasThreads:
-    """A pooled sweep holds OpenBLAS at one thread and restores the count."""
+    """Every sweep, serial or not, holds OpenBLAS at one thread and
+    restores the count."""
 
     @pytest.fixture
     def threads(self):
@@ -393,25 +396,30 @@ class TestPoolBlasThreads:
         yield get()  # the count the sweep must restore (capped by the core count)
         set_(previous)
 
-    def test_one_thread_in_pool_and_restored(self, monkeypatch, threads):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_thread_in_pool_and_restored(self, monkeypatch, threads, workers):
         get, _ = _BLAS_THREADS
         seen = []
         real = evaluation._run_trial
         monkeypatch.setattr(evaluation, "_run_trial", lambda *a: seen.append(get()) or real(*a))
-        sweep_rank(SMALL, ["pca"], [6], trials=2, workers=2)
+        sweep_rank(SMALL, ["pca"], [6], trials=2, workers=workers)
         assert seen == [1, 1]
         assert get() == threads
-        sweep_rank(SMALL, ["pca"], [6], trials=1)
-        assert seen[2:] == [threads]
 
-    def test_restored_after_a_trial_raises(self, monkeypatch, threads):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restored_after_a_trial_raises(self, monkeypatch, threads, workers):
+        get, _ = _BLAS_THREADS
+        seen = []
+
         def fail(*args):
+            seen.append(get())
             raise RuntimeError("trial failed")
 
         monkeypatch.setattr(evaluation, "_run_trial", fail)
         with pytest.raises(RuntimeError, match="trial failed"):
-            sweep_rank(SMALL, ["pca"], [6], trials=2, workers=2)
-        assert _BLAS_THREADS[0]() == threads
+            sweep_rank(SMALL, ["pca"], [6], trials=2, workers=workers)
+        assert set(seen) == {1}
+        assert get() == threads
 
     def test_overlapping_sweeps_restore_the_count_once(self, monkeypatch, threads):
         # sweep B enters its pool after sweep A and A leaves first: B must
