@@ -414,6 +414,7 @@ def detect_ranks(
     rank this is the arithmetic of `project`, bit for bit. Each rank's
     threshold is `q_threshold`'s.
     """
+    _check_beta(beta)
     y = _traffic(y, model.m).y
     ranks = list(ranks)
     if not ranks:

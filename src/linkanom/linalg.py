@@ -1,6 +1,6 @@
 """Dense real-matrix kernels: Householder QR and symmetric
-eigendecomposition (LAPACK through numpy, under a deterministic sign
-convention).
+eigendecomposition (LAPACK through numpy). Column signs are LAPACK's;
+every caller uses a factor only through its span.
 
 All matrices are 2-D, finite float64 numpy arrays. Every function here is
 pure; inputs are never mutated.
@@ -32,21 +32,15 @@ def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:
     Householder reflections, through numpy).
 
     Returns (q, r) with q (m x n) having orthonormal columns, r (n x n)
-    upper triangular with nonnegative diagonal, and q @ r == b up to
-    roundoff. The nonnegative-diagonal convention makes the factorization
-    unique (hence deterministic) for full-rank input; rank-deficient input
-    is allowed and yields zero diagonal entries in r.
+    upper triangular, and q @ r == b up to roundoff; the signs of r's
+    diagonal (and of q's columns) are LAPACK's. Rank-deficient input is
+    allowed and yields near-zero diagonal entries in r.
     """
     b = _as_matrix(b, "b")
     m, n = b.shape
     if m < n:
         raise ValueError(f"householder_qr needs rows >= cols, got shape {b.shape}")
-    q, r = np.linalg.qr(b)
-    neg = np.diag(r) < 0.0
-    if neg.any():
-        q[:, neg] *= -1.0
-        r[neg, :] *= -1.0
-    return q, r
+    return np.linalg.qr(b)
 
 
 # relative asymmetry max|s - s^T| / max|s| that sym_eig accepts
@@ -59,8 +53,7 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues, eigenvectors): eigenvalues sorted descending,
     column j of eigenvectors paired with eigenvalues[j]. The columns are
-    orthonormal with the first nonzero entry of each positive, so the
-    output is deterministic for a given input.
+    orthonormal; their signs are LAPACK's.
     """
     s = _as_matrix(s, "s")
     n, n2 = s.shape
@@ -76,20 +69,4 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
             )
     eigenvalues, vectors = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
-    _fix_column_signs(vectors)
-    return eigenvalues, vectors
-
-
-def _fix_column_signs(vectors: np.ndarray) -> None:
-    """Flip columns in place so the first nonzero entry of each is positive
-    (entries within 1e-12 of the column's largest magnitude count as zero;
-    a zero column is left as it is)."""
-    if not vectors.size:
-        return
-    magnitude = np.abs(vectors)
-    nonzero = magnitude > 1e-12 * magnitude.max(axis=0)
-    lead = np.argmax(nonzero, axis=0)
-    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
-    vectors[:, flip] *= -1.0
+    return eigenvalues[order], vectors[:, order]

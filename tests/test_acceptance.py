@@ -255,7 +255,9 @@ def test_criterion_7_sweep_determinism(tmp_path):
     outputs = {}
     for name, extra in (("first", []), ("second", []), ("parallel", ["--workers", "4"])):
         out = tmp_path / name
-        proc = subprocess.run([*args, *extra, "--output", str(out)], capture_output=True, text=True)
+        proc = subprocess.run(
+            [*args, *extra, "--output", str(out)], capture_output=True, text=True, timeout=300
+        )
         assert proc.returncode == 0, proc.stderr
         outputs[name] = ((out / "sweep.csv").read_bytes(), (out / "sweep_mean.csv").read_bytes())
     rerun_ok = outputs["first"] == outputs["second"]

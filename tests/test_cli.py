@@ -24,7 +24,8 @@ EMPTY_METHOD = "bad value for method: expected at least one comma-separated item
 
 def run_cli(args, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "linkanom.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "linkanom.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300,
     )
 
 
@@ -150,6 +151,26 @@ class TestDetect:
         assert main(["detect", "--method", "pca", "--output", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_run_removes_every_directory_it_made(self, tmp_path, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["detect", "--method", "pca", "--output", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failed_run_keeps_a_made_directory_that_holds_something(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def run(cfg, out):
+            (out.parent / "kept.txt").write_text("not the run's\n")
+            raise ValueError("the subcommand failed")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "detect", cli._SUBCOMMANDS["detect"]._replace(run=run))
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["detect", "--method", "pca", "--output", str(out)]) == 1
+        assert "error: the subcommand failed" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", out.parent, out.parent / "kept.txt"]
 
     def test_echo_rerun_reproduces_bit_exactly(self, scenario_dir, tmp_path):
         first, second = tmp_path / "r1", tmp_path / "r2"

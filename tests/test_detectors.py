@@ -363,6 +363,20 @@ class TestBetaFirst:
             detect_method(method, y, [4, 6], SeedSpec(3), beta=beta)
 
     @pytest.mark.parametrize("beta, message", BAD_BETAS)
+    def test_detect_ranks_and_detect_before_any_product(self, monkeypatch, beta, message):
+        y = np.random.default_rng(12).normal(size=(10, 50))
+        model = build_pca_model(y, 4)
+
+        def work(model, y):
+            raise AssertionError("the traffic was projected")
+
+        monkeypatch.setattr(detectors, "_model_work", work)
+        with pytest.raises(ValueError, match=message):
+            detect_ranks(model, y, [4, 6], beta)
+        with pytest.raises(ValueError, match=message):
+            detect(model, y, beta)
+
+    @pytest.mark.parametrize("beta, message", BAD_BETAS)
     def test_sweep_before_any_trial(self, monkeypatch, beta, message):
         def assemble(cfg):
             raise AssertionError("a scenario was assembled")
@@ -842,6 +856,33 @@ class TestDetectRanks:
             (report,) = detect_ranks(model, y, [4])
             np.testing.assert_array_equal(report.spe, want)
             np.testing.assert_array_equal(detect(model, y).spe, want)
+
+
+class TestBasisSigns:
+    """Models are used only through the span of their basis: flipping the
+    sign of any basis columns changes no detection or variance bit."""
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_flipped_columns_change_no_output(self, stream):
+        sc, models = _reference_models(stream)
+        traffic = detectors._Traffic(sc.y)
+        rng = np.random.default_rng(700 + stream)
+        for model in models:
+            signs = np.where(rng.random(model.m) < 0.5, -1.0, 1.0)
+            assert (signs < 0).any() and (signs > 0).any()
+            flipped = dataclasses.replace(model, basis=model.basis * signs)
+            _assert_same_reports(detect_ranks(flipped, traffic, REFERENCE_GRID),
+                                 detect_ranks(model, traffic, REFERENCE_GRID))
+            for got, want in zip(project(flipped, traffic), project(model, traffic), strict=True):
+                np.testing.assert_array_equal(got, want)
+            moments = traffic.moments(model.centered)
+            ranked = [
+                detectors._ranked_basis_model(basis, moments, model.rank, model.method,
+                                              model.centered)
+                for basis in (flipped.basis, model.basis)
+            ]
+            np.testing.assert_array_equal(ranked[0].variances, ranked[1].variances)
+            np.testing.assert_array_equal(np.abs(ranked[0].basis), np.abs(ranked[1].basis))
 
 
 class TestSharedTraffic:
