@@ -10,7 +10,6 @@ subcommand gets a read-only view of it, so the echo is what ran.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -300,21 +299,15 @@ _SUBCOMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    made = []  # the directories this run creates, deepest first
     try:
         cfg = _resolve(args)
         out = Path(cfg["output"])
-        made = [directory for directory in (out, *out.parents) if not directory.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        # a failed run replaces none of an earlier run's files
-        with _all_or_none():
+        # a failed run leaves the file system as it found it
+        with _all_or_none(out):
             _SUBCOMMANDS[args.subcommand].run(cfg, out)
             echo = {key: _echo_value(value) for key, value in cfg.items() if value is not None}
             write_config_file(echo, out / "config.echo")
     except Exception as exc:
-        for directory in made:
-            with contextlib.suppress(OSError):  # one that holds something stays
-                directory.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

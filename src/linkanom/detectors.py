@@ -17,15 +17,22 @@ threshold derived from the residual variance spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleKind, SeedSpec, _check_int, ensemble_matrix, gen_gaussian
+from .ensembles import (
+    EnsembleKind,
+    SeedSpec,
+    _check_int,
+    _check_real,
+    ensemble_matrix,
+    gen_gaussian,
+)
 from .linalg import _as_matrix, householder_qr, sym_eig
 
 __all__ = [
@@ -137,8 +144,7 @@ def _check_method(method: str) -> None:
 
 
 def _check_beta(beta: float) -> None:
-    if not isinstance(beta, numbers.Real):
-        raise ValueError(f"beta must be a real number, got {beta!r}")
+    _check_real("beta", beta)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie strictly between 0 and 1, got {beta}")
     if 1.0 - beta == 1.0:  # c_beta, the (1 - beta) quantile, would be infinite
@@ -499,7 +505,10 @@ def detect_method(
         models = [build_pca_model(traffic, ranks[0])]
     elif method == METHOD_RBAD:
         models = [build_rbad_model(traffic, ranks[0], seed, power_exponent, center)]
-    else:
-        models = build_sspbad_candidates(traffic, ranks[0], seed, kinds, center)
-    per_model = [detect_ranks(model, traffic, ranks, beta) for model in models]
+    else:  # one candidate basis at a time, each dropped once detected
+        models = (build_sspbad_candidates(traffic, ranks[0], seed, [kind], center)[0]
+                  for kind in kinds)
+    # unlike a loop variable, map holds no model while the next one is built
+    per_model = list(map(functools.partial(detect_ranks, y=traffic, ranks=ranks, beta=beta),
+                         models))
     return [sspbad_select(at_rank) for at_rank in zip(*per_model)]

@@ -10,6 +10,7 @@ share a stream.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
     if value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
+def _check_real(name: str, value) -> None:
+    """The one rule for real-valued parameters: ValueError naming `name`
+    unless `value` is a real number (numpy's included, a bool not). Each
+    caller checks its own range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 class EnsembleKind(enum.Enum):
@@ -97,6 +106,7 @@ def _check_shape(rows: int, cols: int) -> None:
 def gen_gaussian(rows: int, cols: int, seed: SeedSpec, stddev: float = 1.0) -> np.ndarray:
     """i.i.d. N(0, stddev^2) entries."""
     _check_shape(rows, cols)
+    _check_real("stddev", stddev)
     if not 0.0 < stddev < np.inf:
         raise ValueError(f"stddev must be positive and finite, got {stddev}")
     return seed.generator().normal(0.0, stddev, size=(rows, cols))
@@ -105,6 +115,7 @@ def gen_gaussian(rows: int, cols: int, seed: SeedSpec, stddev: float = 1.0) -> n
 def gen_bernoulli(rows: int, cols: int, p: float, seed: SeedSpec) -> np.ndarray:
     """i.i.d. {0, 1} entries, each 1 with probability p."""
     _check_shape(rows, cols)
+    _check_real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     return (seed.generator().random(size=(rows, cols)) < p).astype(float)

@@ -106,10 +106,7 @@ def score(report: DetectionReport, labels: Sequence[bool]) -> ConfusionCounts:
     flags = report.flags
     if labels.shape != flags.shape:
         raise ValueError(f"got {flags.shape[0]} flags but {labels.shape[0]} labels")
-    tp = int(np.count_nonzero(flags & labels))
-    fp = int(np.count_nonzero(flags & ~labels))
-    fn = int(np.count_nonzero(~flags & labels))
-    tn = int(np.count_nonzero(~flags & ~labels))
+    tn, fn, fp, tp = np.bincount(2 * flags + labels, minlength=4).tolist()
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -43,30 +43,37 @@ _FLOAT = "%.17g"
 # undecodable bytes goes back to disk as the same bytes
 _TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 
-# (NAME.tmp, NAME) of every output written inside the open `_all_or_none`
-# block; context-local, so no other thread or caller sees the list
-_staged: ContextVar[list[tuple[Path, Path]] | None] = ContextVar("_staged", default=None)
+# the open `_all_or_none` block's (NAME.tmp, NAME) pairs and the directories
+# it made; context-local, so no other thread or caller sees them
+_block: ContextVar[tuple[list[tuple[Path, Path]], list[Path]]] = ContextVar("_block")
 
 
 @contextmanager
-def _all_or_none() -> Iterator[None]:
-    """Output files written in the block appear together or not at all:
-    each stays staged under its NAME.tmp sibling until the block succeeds,
+def _all_or_none(directory: Path | None = None) -> Iterator[None]:
+    """Output written in the block appears together or not at all: each
+    file stays staged under its NAME.tmp sibling until the block succeeds,
     then all are renamed into place; the temps are removed either way. A
-    nested block joins the outermost one."""
-    if _staged.get() is not None:
-        yield
-        return
-    staged: list[tuple[Path, Path]] = []
-    token = _staged.set(staged)
+    failed block removes each directory it made for `directory`, deepest
+    first, unless it holds something. A nested block joins the outermost."""
+    token = _block.set(([], [])) if _block.get(None) is None else None
+    staged, made = _block.get()
     try:
+        if directory is not None:
+            made[:0] = [path for path in (directory, *directory.parents) if not path.exists()]
+            directory.mkdir(parents=True, exist_ok=True)
         yield
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        if token is not None:
+            for tmp, path in staged:
+                os.replace(tmp, path)
+            made.clear()  # the block succeeded, so its directories stay
     finally:
-        _staged.reset(token)
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
+        if token is not None:
+            _block.reset(token)
+            for tmp, _ in staged:
+                tmp.unlink(missing_ok=True)
+            for path in made:
+                with suppress(OSError):  # one that holds something stays
+                    path.rmdir()
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -77,7 +84,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with _all_or_none(), open(tmp, "w", **_TEXT) as handle:
         # staged once created, so a failed open never removes what it did not create
-        _staged.get().append((tmp, path))
+        _block.get()[0].append((tmp, path))
         handle.writelines(lines)
 
 
@@ -215,11 +222,10 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def write_scenario(scenario: Scenario, directory: str | Path) -> None:
-    """Write one CSV per scenario matrix plus the label column, all or
-    none (config echoing is the CLI's job)."""
+    """Write one CSV per scenario matrix plus the label column (the CLI
+    adds config.echo), all or none, including the directories it makes."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with _all_or_none():
+    with _all_or_none(directory):
         write_matrix_csv(scenario.y, directory / "Y.csv")
         write_matrix_csv(scenario.routing, directory / "R.csv")
         write_matrix_csv(scenario.x, directory / "X.csv")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import SeedSpec, _check_int, gen_bernoulli, gen_gaussian
+from .ensembles import SeedSpec, _check_int, _check_real, gen_bernoulli, gen_gaussian
 
 __all__ = [
     "ScenarioConfig",
@@ -59,9 +59,11 @@ class ScenarioConfig:
         for name in ("m", "n", "t"):
             _check_int(name, getattr(self, name), 1)
         _check_int("r_true", self.r_true, 0, min(self.n, self.t))
+        _check_real("routing_density", self.routing_density)
         if not 0.0 <= self.routing_density <= 1.0:
             raise ValueError(f"routing_density must be in [0, 1], got {self.routing_density}")
         _check_int("anomaly_count", self.anomaly_count, 0, self.n * self.t)
+        _check_real("noise_variance", self.noise_variance)
         if not 0.0 <= self.noise_variance < np.inf:
             raise ValueError(
                 f"noise_variance must be nonnegative and finite, got {self.noise_variance}"

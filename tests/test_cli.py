@@ -172,6 +172,17 @@ class TestDetect:
         assert "error: the subcommand failed" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", out.parent, out.parent / "kept.txt"]
 
+    def test_interrupted_run_removes_every_directory_it_made(self, tmp_path, monkeypatch):
+        def run(cfg, out):
+            storage.write_table(("snapshot",), [(0,)], out / "report.csv")
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "detect", cli._SUBCOMMANDS["detect"]._replace(run=run))
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(KeyboardInterrupt):
+            main(["detect", "--method", "pca", "--output", str(tmp_path / "a" / "b" / "c")])
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_echo_rerun_reproduces_bit_exactly(self, scenario_dir, tmp_path):
         first, second = tmp_path / "r1", tmp_path / "r2"
         assert main(["detect", "--input", str(scenario_dir), "--method", "rbad",

@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -340,6 +341,7 @@ BAD_BETAS = [
     pytest.param(math.nan, r"^beta must lie strictly between 0 and 1, got nan$", id="nan"),
     pytest.param(1e-17, r"^beta must exceed 2\*\*-54 so that 1 - beta rounds below 1", id="tiny"),
     pytest.param("0.1", r"^beta must be a real number, got '0.1'$", id="text"),
+    pytest.param(True, r"^beta must be a real number, got True$", id="bool"),
 ]
 
 
@@ -856,6 +858,38 @@ class TestDetectRanks:
             (report,) = detect_ranks(model, y, [4])
             np.testing.assert_array_equal(report.spe, want)
             np.testing.assert_array_equal(detect(model, y).spe, want)
+
+
+class TestSspbadOneCandidateAtATime:
+    """`detect_method` builds, detects and drops the sspbad candidates one
+    at a time, with the bits of selecting among all of them built at once."""
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("kinds", [None, [EnsembleKind.RADEMACHER, EnsembleKind.GAUSSIAN]])
+    def test_same_reports_as_all_candidates_at_once(self, center, kinds):
+        sc = assemble_scenario(ScenarioConfig(seed=SeedSpec(607)))
+        seed = SeedSpec(608)
+        candidates = build_sspbad_candidates(sc.y, 8, seed, kinds, center)
+        per_candidate = [detect_ranks(c, sc.y, REFERENCE_GRID) for c in candidates]
+        want = [sspbad_select(at_rank) for at_rank in zip(*per_candidate)]
+        _assert_same_reports(
+            detect_method("sspbad", sc.y, REFERENCE_GRID, seed, kinds=kinds, center=center), want
+        )
+
+    def test_one_candidate_basis_alive_at_a_time(self, monkeypatch):
+        y = np.random.default_rng(609).normal(size=(16, 80))
+        real, bases, alive = detectors.build_sspbad_candidates, [], []
+
+        def build(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in bases))
+            models = real(*args, **kwargs)
+            bases.extend(weakref.ref(model.basis) for model in models)
+            return models
+
+        monkeypatch.setattr(detectors, "build_sspbad_candidates", build)
+        detect_method("sspbad", y, [2, 4], SeedSpec(610))
+        assert len(bases) == 4
+        assert alive == [0, 0, 0, 0]
 
 
 class TestBasisSigns:

@@ -93,6 +93,24 @@ class TestBernoulli:
             gen_bernoulli(2, 2, 1.5, SEED)
 
 
+class TestRealParameters:
+    @pytest.mark.parametrize("value", ["1", None, True, 1j])
+    def test_stddev_must_be_a_real_number(self, value):
+        with pytest.raises(ValueError, match=rf"^stddev must be a real number, got {value!r}$"):
+            gen_gaussian(2, 2, SEED, value)
+
+    @pytest.mark.parametrize("value", ["0.5", None, False, 0.5j])
+    def test_p_must_be_a_real_number(self, value):
+        with pytest.raises(ValueError, match=rf"^p must be a real number, got {value!r}$"):
+            gen_bernoulli(2, 2, value, SEED)
+
+    def test_numpy_floats_accepted(self):
+        np.testing.assert_array_equal(gen_gaussian(3, 4, SEED, np.float64(2.5)),
+                                      gen_gaussian(3, 4, SEED, 2.5))
+        np.testing.assert_array_equal(gen_bernoulli(3, 4, np.float32(0.5), SEED),
+                                      gen_bernoulli(3, 4, 0.5, SEED))
+
+
 class TestMarkov:
     def test_single_row_all_ones(self):
         np.testing.assert_array_equal(markov(1, 8, SEED), np.ones((1, 8)))

@@ -1,6 +1,7 @@
 """File-format tests: bit-exact matrix round-trips, parse errors with line
 numbers, label columns, result tables, and flat config files."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -257,6 +258,32 @@ class TestScenarioDir:
         with pytest.raises(OSError):
             write_scenario(assemble_scenario(cfg), scen)
         assert sorted(path.name for path in scen.iterdir()) == ["R.csv.tmp"]
+
+    def test_failed_write_leaves_no_directory_it_made(self, tmp_path):
+        cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=4, seed=SeedSpec(1))
+        scenario = assemble_scenario(cfg)
+        y = scenario.y.copy()
+        y[2, 3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            write_scenario(dataclasses.replace(scenario, y=y), tmp_path / "a" / "b")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_block_keeps_a_made_directory_that_holds_something(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        with pytest.raises(KeyboardInterrupt):
+            with storage._all_or_none(out):
+                storage.write_labels_csv([True, False], out / "labels.csv")
+                (tmp_path / "a" / "kept.txt").write_text("not the block's\n")
+                raise KeyboardInterrupt
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", tmp_path / "a" / "kept.txt"]
+
+    def test_nested_block_directories_go_with_the_outer_block(self, tmp_path):
+        with pytest.raises(ValueError, match="the outer block failed"):
+            with storage._all_or_none(tmp_path / "a"):
+                with storage._all_or_none(tmp_path / "a" / "b" / "c"):
+                    storage.write_labels_csv([True], tmp_path / "a" / "b" / "c" / "labels.csv")
+                raise ValueError("the outer block failed")
+        assert list(tmp_path.iterdir()) == []
 
     def test_label_snapshot_mismatch(self, tmp_path):
         cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=4, seed=SeedSpec(1))

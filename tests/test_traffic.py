@@ -211,6 +211,21 @@ class TestAssembleScenario:
             with pytest.raises(ValueError, match="noise_variance"):
                 ScenarioConfig(noise_variance=bad)
 
+    @pytest.mark.parametrize("name, value", [
+        ("routing_density", "0.05"), ("routing_density", None), ("routing_density", False),
+        ("noise_variance", "0.1"), ("noise_variance", None), ("noise_variance", True),
+    ])
+    def test_real_parameters_must_be_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {value!r}$"):
+            ScenarioConfig(**{name: value})
+
+    def test_numpy_floats_are_real_parameters(self):
+        reals = {name: np.float64(getattr(SMALL, name))
+                 for name in ("routing_density", "noise_variance")}
+        np.testing.assert_array_equal(
+            assemble_scenario(dataclasses.replace(SMALL, **reals)).y, assemble_scenario(SMALL).y
+        )
+
     def test_scenario_carries_its_config(self):
         sc = assemble_scenario(SMALL)
         assert isinstance(sc, Scenario)
