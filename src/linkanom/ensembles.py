@@ -10,7 +10,6 @@ share a stream.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +37,10 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
 
 def _check_real(name: str, value) -> None:
     """The one rule for real-valued parameters: ValueError naming `name`
-    unless `value` is a real number (numpy's included, a bool not). Each
-    caller checks its own range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    unless `value` is an int, float, numpy integer or numpy floating
+    scalar (a bool not, nor a `numbers.Real` such as `Fraction` that numpy
+    cannot compute with). Each caller checks its own range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 

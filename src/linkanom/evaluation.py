@@ -101,11 +101,20 @@ class VarianceTable:
 
 
 def score(report: DetectionReport, labels: Sequence[bool]) -> ConfusionCounts:
-    """Confusion counts of report flags against ground-truth labels."""
-    labels = np.asarray(labels, dtype=bool)
+    """Confusion counts of report flags against ground-truth labels: a
+    1-D sequence of one bool or 0/1 value per flag."""
+    labels = np.asarray(labels)
     flags = report.flags
     if labels.shape != flags.shape:
-        raise ValueError(f"got {flags.shape[0]} flags but {labels.shape[0]} labels")
+        raise ValueError(f"labels must be 1-D, one per flag: got shape {labels.shape} "
+                         f"for flags of shape {flags.shape}")
+    if labels.dtype != bool:
+        if labels.dtype.kind not in "iuf":
+            raise ValueError(f"labels must be 0/1 or bool, got dtype {labels.dtype}")
+        bad = (labels != 0) & (labels != 1)
+        if bad.any():
+            raise ValueError(f"labels must be 0/1 or bool, got {labels[bad][0].item()!r}")
+        labels = labels == 1
     tn, fn, fp, tp = np.bincount(2 * flags + labels, minlength=4).tolist()
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 

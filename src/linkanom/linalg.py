@@ -17,7 +17,13 @@ __all__ = [
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """`a` as a finite 2-D float64 array. Only bool, integer and real
+    input is cast: complex input would lose its imaginary part, and object
+    or string input would be parsed."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
     finite = np.isfinite(a)

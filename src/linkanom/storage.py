@@ -2,14 +2,16 @@
 scenario directories, and flat key=value config files.
 
 Every file goes through one writer, `_write_lines`, which stages it
-inside an `_all_or_none` block. Floats are written with 17 significant
-digits (`_FLOAT`), which round-trips every finite double exactly. Matrix
-CSVs cost little more than that text conversion: a file of plain decimal
-text (digits, signs, points, exponents, commas, blanks and line breaks)
-with finite values is parsed once by numpy's C parser, and any other
-file goes through a line loop that alone decides what is accepted and
-names the offending line. The matrix writer formats each row with one
-`%` and writes a row of +0.0 entries from one prebuilt line.
+inside an `_all_or_none` block; the block renames its staged files into
+place together and puts every earlier file back if a rename fails.
+Floats are written with 17 significant digits (`_FLOAT`), which
+round-trips every finite double exactly. Matrix CSVs cost little more
+than that text conversion: a file of plain decimal text (digits, signs,
+points, exponents, commas, blanks and line breaks) with finite values
+is parsed once by numpy's C parser, and any other file goes through a
+line loop that alone decides what is accepted and names the offending
+line. The matrix writer formats each row with one `%` and writes a row
+of +0.0 entries from one prebuilt line.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ _block: ContextVar[tuple[list[tuple[Path, Path]], list[Path]]] = ContextVar("_bl
 def _all_or_none(directory: Path | None = None) -> Iterator[None]:
     """Output written in the block appears together or not at all: each
     file stays staged under its NAME.tmp sibling until the block succeeds,
-    then all are renamed into place; the temps are removed either way. A
-    failed block removes each directory it made for `directory`, deepest
-    first, unless it holds something. A nested block joins the outermost."""
+    then all are renamed into place (`_commit`); the temps are removed
+    either way. A failed block removes each directory it made for
+    `directory`, deepest first, unless it holds something. A nested block
+    joins the outermost."""
     token = _block.set(([], [])) if _block.get(None) is None else None
     staged, made = _block.get()
     try:
@@ -63,8 +66,7 @@ def _all_or_none(directory: Path | None = None) -> Iterator[None]:
             directory.mkdir(parents=True, exist_ok=True)
         yield
         if token is not None:
-            for tmp, path in staged:
-                os.replace(tmp, path)
+            _commit(staged)
             made.clear()  # the block succeeded, so its directories stay
     finally:
         if token is not None:
@@ -74,6 +76,42 @@ def _all_or_none(directory: Path | None = None) -> Iterator[None]:
             for path in made:
                 with suppress(OSError):  # one that holds something stays
                     path.rmdir()
+
+
+def _commit(staged: Sequence[tuple[Path, Path]]) -> None:
+    """Rename each staged NAME.tmp onto its NAME, all or none. Every
+    target must be absent or a regular file, and its backup name NAME.bak
+    free. An existing NAME is moved to NAME.bak before its temp takes its
+    place; if any rename fails, the renames done so far are undone in
+    reverse order, so every earlier file is back as it was. The backups
+    are deleted once all are in place."""
+    for _, path in staged:
+        if os.path.lexists(path) and not path.is_file():
+            raise FileExistsError(f"{path} exists and is not a regular file")
+        if os.path.lexists(_backup(path)):
+            raise FileExistsError(f"{_backup(path)} exists and may hold an earlier {path.name}")
+    done: list[tuple[Path, bool]] = []  # (NAME, whether NAME.bak holds its earlier file)
+    try:
+        for tmp, path in staged:
+            kept = os.path.lexists(path)
+            if kept:
+                os.replace(path, _backup(path))
+            done.append((path, kept))
+            os.replace(tmp, path)
+    except BaseException:
+        for path, kept in reversed(done):
+            if kept:
+                os.replace(_backup(path), path)
+            else:
+                path.unlink(missing_ok=True)
+        raise
+    for path, kept in done:
+        if kept:
+            _backup(path).unlink()
+
+
+def _backup(path: Path) -> Path:
+    return path.with_name(path.name + ".bak")
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -222,14 +260,27 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def write_scenario(scenario: Scenario, directory: str | Path) -> None:
-    """Write one CSV per scenario matrix plus the label column (the CLI
-    adds config.echo), all or none, including the directories it makes."""
+    """Write a scenario's traffic, labels and draws (the CLI adds
+    config.echo), all or none, including the directories it makes.
+
+    Y.csv, R.csv and V.csv are matrix CSVs and labels.csv the label
+    column. The flows X = U W^T and the anomalies A are written as their
+    draws, not as n x t matrices: U.csv and W.csv, and anomalies.csv, a
+    `flow,snapshot,value` table with one row per anomaly in
+    `anomaly_positions` order. With r_true = 0, U.csv and W.csv hold one
+    zero column, so that U W^T is still X, which is zero."""
     directory = Path(directory)
+    u, w = scenario.u, scenario.w
+    if u.shape[1] == 0:
+        u, w = np.zeros((u.shape[0], 1)), np.zeros((w.shape[0], 1))
+    flows, snapshots = np.divmod(scenario.anomaly_positions, scenario.config.t)
+    anomalies = zip(flows.tolist(), snapshots.tolist(), scenario.anomaly_values.tolist())
     with _all_or_none(directory):
         write_matrix_csv(scenario.y, directory / "Y.csv")
         write_matrix_csv(scenario.routing, directory / "R.csv")
-        write_matrix_csv(scenario.x, directory / "X.csv")
-        write_matrix_csv(scenario.a, directory / "A.csv")
+        write_matrix_csv(u, directory / "U.csv")
+        write_matrix_csv(w, directory / "W.csv")
+        write_table(("flow", "snapshot", "value"), anomalies, directory / "anomalies.csv")
         write_matrix_csv(scenario.v, directory / "V.csv")
         write_labels_csv(scenario.labels, directory / "labels.csv")
 

@@ -38,8 +38,8 @@ class TestGenerate:
     def test_writes_scenario_and_echo(self, tmp_path):
         out = tmp_path / "scen"
         assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 0
-        for name in ("Y.csv", "R.csv", "X.csv", "A.csv", "V.csv", "labels.csv", "config.echo"):
-            assert (out / name).exists()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "R.csv", "U.csv", "V.csv", "W.csv", "Y.csv", "anomalies.csv", "config.echo", "labels.csv"]
         echo = read_config_file(out / "config.echo")
         assert echo["m"] == "24"
         assert echo["anomaly_count"] == "10"
@@ -63,8 +63,8 @@ class TestGenerate:
         out = tmp_path / "scen"
         assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert len(before) == 7
-        (out / "X.csv.tmp").mkdir()  # X.csv, the third file, cannot be written
+        assert len(before) == 8
+        (out / "U.csv.tmp").mkdir()  # U.csv, the third file, cannot be written
         rerun = [*SMALL_ARGS[:-1], "10"]  # another master seed
         assert main(["generate", *rerun, "--output", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
@@ -78,14 +78,14 @@ class TestGenerate:
         def failing_matrix_lines(matrix):
             # runs inside the write, once the matrix's temp file is staged
             staged.append(sorted(path.name for path in out.iterdir()))
-            if len(staged) == 3:  # X.csv, the third matrix
+            if len(staged) == 3:  # U.csv, the third matrix
                 raise OSError(errno.ENOSPC, "No space left on device")
             yield from matrix_lines(matrix)
 
         monkeypatch.setattr(storage, "_matrix_lines", failing_matrix_lines)
         assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 1
         assert "No space left" in capsys.readouterr().err
-        assert staged[-1] == ["R.csv.tmp", "X.csv.tmp", "Y.csv.tmp"]
+        assert staged[-1] == ["R.csv.tmp", "U.csv.tmp", "Y.csv.tmp"]
         assert not out.exists()
 
     @pytest.mark.parametrize("variance", ["nan", "inf", "-inf"])
@@ -95,6 +95,15 @@ class TestGenerate:
                      "--output", str(out)]) == 1
         assert "noise_variance" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_echo_regenerates_every_file(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["generate", *SMALL_ARGS, "--output", str(a)]) == 0
+        assert main(["generate", "--config", str(a / "config.echo"), "--output", str(b)]) == 0
+        assert sorted(path.name for path in b.iterdir()) == sorted(path.name for path in a.iterdir())
+        for path in a.glob("*.csv"):
+            assert (b / path.name).read_bytes() == path.read_bytes(), path.name
+        assert echo_without_output(b) == echo_without_output(a)
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

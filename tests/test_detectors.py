@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -342,6 +343,8 @@ BAD_BETAS = [
     pytest.param(1e-17, r"^beta must exceed 2\*\*-54 so that 1 - beta rounds below 1", id="tiny"),
     pytest.param("0.1", r"^beta must be a real number, got '0.1'$", id="text"),
     pytest.param(True, r"^beta must be a real number, got True$", id="bool"),
+    pytest.param(Fraction(1, 200), r"^beta must be a real number, got Fraction\(1, 200\)$",
+                 id="fraction"),
 ]
 
 

@@ -1,6 +1,9 @@
 """Random-matrix generator tests: determinism, defining constraints of
 each family, and distributional sanity bounds."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -94,14 +97,17 @@ class TestBernoulli:
 
 
 class TestRealParameters:
-    @pytest.mark.parametrize("value", ["1", None, True, 1j])
+    # a Fraction is a numbers.Real that numpy cannot compute with
+    @pytest.mark.parametrize("value", ["1", None, True, 1j, Fraction(1, 2)])
     def test_stddev_must_be_a_real_number(self, value):
-        with pytest.raises(ValueError, match=rf"^stddev must be a real number, got {value!r}$"):
+        message = rf"^stddev must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             gen_gaussian(2, 2, SEED, value)
 
-    @pytest.mark.parametrize("value", ["0.5", None, False, 0.5j])
+    @pytest.mark.parametrize("value", ["0.5", None, False, 0.5j, Fraction(1, 2)])
     def test_p_must_be_a_real_number(self, value):
-        with pytest.raises(ValueError, match=rf"^p must be a real number, got {value!r}$"):
+        message = rf"^p must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             gen_bernoulli(2, 2, value, SEED)
 
     def test_numpy_floats_accepted(self):

@@ -66,6 +66,30 @@ class TestScore:
         with pytest.raises(ValueError, match="labels"):
             score(_report([True, False]), [True])
 
+    @pytest.mark.parametrize("labels, shape", [
+        ("x" * 4, r"\(\)"), ([[True], [False], [True], [False]], r"\(4, 1\)"), (1, r"\(\)"),
+    ])
+    def test_labels_must_be_one_per_flag(self, labels, shape):
+        message = rf"^labels must be 1-D, one per flag: got shape {shape} for flags of shape \(4,\)$"
+        with pytest.raises(ValueError, match=message):
+            score(_report([True, False, True, False]), labels)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 0, 2, 0], r"got 2$"),
+        ([1.0, 0.5, 0.0, 1.0], r"got 0.5$"),
+        ([1.0, np.nan, 0.0, 1.0], r"got nan$"),
+        (["1", "0", "1", "0"], r"got dtype <U1$"),
+    ])
+    def test_labels_must_be_0_1_or_bool(self, labels, message):
+        with pytest.raises(ValueError, match=r"^labels must be 0/1 or bool, " + message):
+            score(_report([True, False, True, False]), labels)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float64])
+    def test_0_1_labels_of_any_real_dtype_score_as_bool(self, dtype):
+        labels = np.array([1, 0, 1, 0], dtype=dtype)
+        assert score(_report([True, True, False, False]), labels) == ConfusionCounts(
+            tp=1, fp=1, fn=1, tn=1)
+
     @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_counts_partition_snapshots(self, pairs):

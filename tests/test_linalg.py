@@ -67,6 +67,30 @@ class TestHouseholderQr:
             householder_qr(b)
 
 
+class TestInputDtypes:
+    """Only bool, integer and real matrices are cast to float: complex
+    input would lose its imaginary part, and text or objects be parsed."""
+
+    @pytest.mark.parametrize("b", [
+        pytest.param(np.array([[1 + 1j, 2], [3, 4]]), id="complex"),
+        pytest.param([["1", "2"], ["3", "4"]], id="text"),
+        pytest.param(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object), id="object"),
+    ])
+    def test_rejected_before_the_cast(self, b):
+        with pytest.raises(ValueError, match=r"^b must hold real numbers, got dtype "):
+            householder_qr(b)
+        with pytest.raises(ValueError, match=r"^s must hold real numbers, got dtype "):
+            sym_eig(b)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.int64, np.float32, np.float64])
+    def test_bool_integer_and_real_accepted(self, dtype):
+        s = np.array([[1, 0], [0, 1]], dtype=dtype)
+        eigenvalues, _ = sym_eig(s)
+        np.testing.assert_array_equal(eigenvalues, [1.0, 1.0])
+        q, r = householder_qr(s)
+        np.testing.assert_array_equal(np.abs(q @ r), np.eye(2))
+
+
 class TestSymEig:
     def test_diagonal_input(self):
         lam, w = sym_eig(np.diag([3.0, 1.0, 2.0]))

@@ -52,5 +52,6 @@ def test_command_line_block_runs(tmp_path):
         assert written, name
         for path in written:
             assert path.read_text().splitlines()[0] == header, path
-    scenario = {"Y.csv", "R.csv", "X.csv", "A.csv", "V.csv", "labels.csv", "config.echo"}
+    scenario = {"Y.csv", "R.csv", "U.csv", "W.csv", "anomalies.csv", "V.csv", "labels.csv",
+                "config.echo"}
     assert {path.name for path in (tmp_path / "scen").iterdir()} == scenario

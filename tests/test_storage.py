@@ -2,7 +2,9 @@
 numbers, label columns, result tables, and flat config files."""
 
 import dataclasses
+import errno
 import io
+import os
 
 import numpy as np
 import pytest
@@ -246,10 +248,36 @@ class TestScenarioDir:
         scenario = assemble_scenario(cfg)
         write_scenario(scenario, tmp_path / "scen")
         names = sorted(p.name for p in (tmp_path / "scen").iterdir())
-        assert names == ["A.csv", "R.csv", "V.csv", "X.csv", "Y.csv", "labels.csv"]
+        assert names == ["R.csv", "U.csv", "V.csv", "W.csv", "Y.csv", "anomalies.csv", "labels.csv"]
         y, labels = read_scenario(tmp_path / "scen")
         np.testing.assert_array_equal(y, scenario.y)
         np.testing.assert_array_equal(labels, scenario.labels)
+
+    @pytest.mark.parametrize("r_true", [0, 3])
+    def test_draws_rebuild_x_and_a(self, tmp_path, r_true):
+        cfg = ScenarioConfig(m=10, n=20, t=30, r_true=r_true, anomaly_count=6, seed=SeedSpec(1))
+        scenario = assemble_scenario(cfg)
+        scen = tmp_path / "scen"
+        write_scenario(scenario, scen)
+        for name, matrix in [("Y", scenario.y), ("R", scenario.routing), ("V", scenario.v)]:
+            np.testing.assert_array_equal(read_matrix_csv(scen / f"{name}.csv"), matrix)
+        # X = U W^T bit for bit; with r_true = 0 each file holds one zero column
+        u, w = read_matrix_csv(scen / "U.csv"), read_matrix_csv(scen / "W.csv")
+        assert u.shape == (20, max(r_true, 1)) and w.shape == (30, max(r_true, 1))
+        np.testing.assert_array_equal(u @ w.T, scenario.x)
+        lines = (scen / "anomalies.csv").read_text().splitlines()
+        assert lines[0] == "flow,snapshot,value"
+        rows = [line.split(",") for line in lines[1:]]
+        flows, snapshots = (np.array([int(row[i]) for row in rows]) for i in (0, 1))
+        np.testing.assert_array_equal(flows * 30 + snapshots, scenario.anomaly_positions)
+        a = np.zeros((20, 30))
+        a[flows, snapshots] = [float(row[2]) for row in rows]
+        np.testing.assert_array_equal(a, scenario.a)
+
+    def test_no_anomalies_write_a_header_only_table(self, tmp_path):
+        cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=0, seed=SeedSpec(1))
+        write_scenario(assemble_scenario(cfg), tmp_path / "scen")
+        assert (tmp_path / "scen" / "anomalies.csv").read_text() == "flow,snapshot,value\n"
 
     def test_failed_write_removes_earlier_files(self, tmp_path):
         cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=4, seed=SeedSpec(1))
@@ -291,3 +319,70 @@ class TestScenarioDir:
         (tmp_path / "scen" / "labels.csv").write_text("1\n0\n")
         with pytest.raises(ValueError, match="labels"):
             read_scenario(tmp_path / "scen")
+
+
+def _tree(directory):
+    """Every path under `directory`, with each file's bytes (None for a
+    directory)."""
+    return {path.relative_to(directory): path.read_bytes() if path.is_file() else None
+            for path in directory.rglob("*")}
+
+
+class TestCommit:
+    """A block renames its staged files into place all or none: when a
+    rename fails, every earlier file is back as it was, and no temp or
+    backup is left behind."""
+
+    CFG = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=4, seed=SeedSpec(1))
+    RERUN = dataclasses.replace(CFG, seed=SeedSpec(2))
+
+    def test_rerun_replaces_every_file_and_leaves_no_backup(self, tmp_path):
+        scen = tmp_path / "scen"
+        write_scenario(assemble_scenario(self.CFG), scen)
+        write_scenario(assemble_scenario(self.RERUN), tmp_path / "fresh")
+        write_scenario(assemble_scenario(self.RERUN), scen)
+        assert _tree(scen) == _tree(tmp_path / "fresh")
+
+    def test_target_that_is_no_file_fails_before_any_rename(self, tmp_path):
+        scen = tmp_path / "scen"
+        write_scenario(assemble_scenario(self.CFG), scen)
+        (scen / "R.csv").unlink()
+        (scen / "R.csv").mkdir()
+        (scen / "R.csv" / "kept.txt").write_text("not a scenario file\n")
+        before = _tree(scen)
+        with pytest.raises(FileExistsError, match=r"R\.csv exists and is not a regular file$"):
+            write_scenario(assemble_scenario(self.RERUN), scen)
+        assert _tree(scen) == before
+
+    def test_taken_backup_name_fails_before_any_rename(self, tmp_path):
+        scen = tmp_path / "scen"
+        write_scenario(assemble_scenario(self.CFG), scen)
+        (scen / "V.csv.bak").write_text("an earlier V.csv\n")
+        before = _tree(scen)
+        with pytest.raises(FileExistsError, match=r"V\.csv\.bak exists and may hold an earlier V\.csv$"):
+            write_scenario(assemble_scenario(self.RERUN), scen)
+        assert _tree(scen) == before
+
+    # the rerun renames six earlier files to backups and seven temps into
+    # place, W.csv among them as a new file: 13 renames
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_failure_in_the_kth_rename_restores_every_earlier_file(self, tmp_path, monkeypatch, k):
+        scen = tmp_path / "scen"
+        write_scenario(assemble_scenario(self.CFG), scen)
+        (scen / "W.csv").unlink()
+        before = _tree(scen)
+        replace, calls = os.replace, []
+
+        def failing_replace(src, dst):
+            calls.append(src)
+            if len(calls) == k:
+                raise OSError(errno.EIO, "injected rename failure")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected rename failure"):
+            write_scenario(assemble_scenario(self.RERUN), scen)
+        monkeypatch.undo()
+        assert _tree(scen) == before
+        if k == 13:  # the last rename, once every other one has succeeded
+            assert calls[k - 1].name == "labels.csv.tmp"

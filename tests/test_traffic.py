@@ -2,7 +2,9 @@
 label semantics, and seed isolation."""
 
 import dataclasses
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,9 +216,12 @@ class TestAssembleScenario:
     @pytest.mark.parametrize("name, value", [
         ("routing_density", "0.05"), ("routing_density", None), ("routing_density", False),
         ("noise_variance", "0.1"), ("noise_variance", None), ("noise_variance", True),
+        # a Fraction passed the check and then failed in np.sqrt
+        ("routing_density", Fraction(1, 20)), ("noise_variance", Fraction(1, 10)),
     ])
     def test_real_parameters_must_be_real_numbers(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {value!r}$"):
+        message = rf"^{name} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
             ScenarioConfig(**{name: value})
 
     def test_numpy_floats_are_real_parameters(self):
