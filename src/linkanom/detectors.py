@@ -81,6 +81,8 @@ class SubspaceModel:
     power_exponent: int | None = None
 
     def __post_init__(self) -> None:
+        for name, ndim in (("basis", 2), ("variances", 1), ("mean", 1)):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name, ndim))
         m = self.basis.shape[0]
         if self.basis.shape != (m, m):
             raise ValueError(f"basis must be square, got {self.basis.shape}")
@@ -143,12 +145,13 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _check_beta(beta: float) -> None:
-    _check_real("beta", beta)
+def _check_beta(beta: float) -> float:
+    beta = _check_real("beta", beta)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie strictly between 0 and 1, got {beta}")
     if 1.0 - beta == 1.0:  # c_beta, the (1 - beta) quantile, would be infinite
         raise ValueError(f"beta must exceed 2**-54 so that 1 - beta rounds below 1, got {beta}")
+    return beta
 
 
 def _check_kinds(kinds: Iterable[EnsembleKind] | None) -> tuple[EnsembleKind, ...]:
@@ -347,13 +350,9 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     admits no threshold at this rank (base <= 0 included) raises
     DegenerateSpectrumError.
     """
-    _check_beta(beta)
-    variances = np.asarray(variances, dtype=float)
-    if variances.ndim != 1:
-        raise ValueError(f"variances must be 1-D, got shape {variances.shape}")
+    beta = _check_beta(beta)
+    variances = _as_matrix(variances, "variances", ndim=1)
     _check_rank(rank, variances.shape[0])
-    if not np.isfinite(variances).all():
-        raise ValueError("variances contain non-finite values (NaN or inf)")
     scale = max(abs(variances[0]), 1.0)
     if (variances[1:] - variances[:-1] > 1e-10 * scale).any():
         raise ValueError("variances must be sorted in descending order")

@@ -35,13 +35,17 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
         raise ValueError(f"{name} must be {bounds}, got {value}")
 
 
-def _check_real(name: str, value) -> None:
-    """The one rule for real-valued parameters: ValueError naming `name`
-    unless `value` is an int, float, numpy integer or numpy floating
-    scalar (a bool not, nor a `numbers.Real` such as `Fraction` that numpy
-    cannot compute with). Each caller checks its own range."""
+def _check_real(name: str, value) -> float:
+    """The one rule for real-valued parameters: `value` as a Python float,
+    or ValueError naming `name` unless it is an int, float, numpy integer
+    or numpy floating scalar (no bool, no `Fraction`). Each caller checks
+    its own range."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be within the float range, got {value}") from None
 
 
 class EnsembleKind(enum.Enum):

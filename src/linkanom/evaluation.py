@@ -33,6 +33,7 @@ from .detectors import (
     detect_method,
 )
 from .ensembles import EnsembleKind, SeedSpec, _check_int
+from .linalg import _as_labels
 from .traffic import ScenarioConfig, assemble_scenario
 
 __all__ = [
@@ -101,21 +102,13 @@ class VarianceTable:
 
 
 def score(report: DetectionReport, labels: Sequence[bool]) -> ConfusionCounts:
-    """Confusion counts of report flags against ground-truth labels: a
-    1-D sequence of one bool or 0/1 value per flag."""
-    labels = np.asarray(labels)
+    """Confusion counts of report flags against ground-truth labels: one
+    label per flag, under the label rule of `linalg._as_labels`."""
     flags = report.flags
-    if labels.shape != flags.shape:
-        raise ValueError(f"labels must be 1-D, one per flag: got shape {labels.shape} "
+    if np.shape(labels) != flags.shape:
+        raise ValueError(f"labels must be 1-D, one per flag: got shape {np.shape(labels)} "
                          f"for flags of shape {flags.shape}")
-    if labels.dtype != bool:
-        if labels.dtype.kind not in "iuf":
-            raise ValueError(f"labels must be 0/1 or bool, got dtype {labels.dtype}")
-        bad = (labels != 0) & (labels != 1)
-        if bad.any():
-            raise ValueError(f"labels must be 0/1 or bool, got {labels[bad][0].item()!r}")
-        labels = labels == 1
-    tn, fn, fp, tp = np.bincount(2 * flags + labels, minlength=4).tolist()
+    tn, fn, fp, tp = np.bincount(2 * flags + _as_labels(labels), minlength=4).tolist()
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 

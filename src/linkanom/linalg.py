@@ -16,21 +16,35 @@ __all__ = [
 ]
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """`a` as a finite 2-D float64 array. Only bool, integer and real
-    input is cast: complex input would lose its imaginary part, and object
-    or string input would be parsed."""
+def _as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """The one rule for array input: `a` as a finite float64 array with
+    `ndim` dimensions. Only bool, integer and real input is cast: complex
+    would lose its imaginary part, and object or string input be parsed."""
     a = np.asarray(a)
     if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
     a = a.astype(float, copy=False)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got ndim={a.ndim}")
     finite = np.isfinite(a)
     if not finite.all():
         bad = finite.size - np.count_nonzero(finite)
         raise ValueError(f"{name} has {bad} non-finite values (NaN or inf)")
     return a
+
+
+def _as_labels(labels) -> np.ndarray:
+    """The one rule for ground-truth labels: a nonempty 1-D array of bool,
+    or of 0/1 in an integer or real dtype, returned as bool."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValueError(f"labels must be a nonempty 1-D array, got shape {labels.shape}")
+    if labels.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be 0/1 or bool, got dtype {labels.dtype}")
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        raise ValueError(f"labels must be 0/1 or bool, got {labels[bad][0].item()!r}")
+    return labels == 1
 
 
 def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:

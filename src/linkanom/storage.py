@@ -9,9 +9,7 @@ round-trips every finite double exactly. Matrix CSVs cost little more
 than that text conversion: a file of plain decimal text (digits, signs,
 points, exponents, commas, blanks and line breaks) with finite values
 is parsed once by numpy's C parser, and any other file goes through a
-line loop that alone decides what is accepted and names the offending
-line. The matrix writer formats each row with one `%` and writes a row
-of +0.0 entries from one prebuilt line.
+line loop that alone decides what is accepted and names the bad line.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import _as_matrix
+from .linalg import _as_labels, _as_matrix
 from .traffic import Scenario
 
 __all__ = [
@@ -147,19 +145,14 @@ def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
 def _matrix_lines(matrix: np.ndarray) -> Iterator[str]:
     """The text of each row of a finite 2-D matrix, as `np.savetxt` with
     fmt=_FLOAT writes it, converted one row at a time."""
-    cols = matrix.shape[1]
-    line = ",".join([_FLOAT] * cols) + "\n"
-    zero_line = ",".join(["0"] * cols) + "\n"
-    # a -0.0 entry prints as -0, so only rows of +0.0 take the prebuilt line
-    nonzero = matrix.any(axis=1) | np.signbit(matrix).any(axis=1)
-    for row, keep in zip(matrix, nonzero.tolist()):
-        yield line % tuple(row.tolist()) if keep else zero_line
+    line = ",".join([_FLOAT] * matrix.shape[1]) + "\n"
+    for row in matrix:
+        yield line % tuple(row.tolist())
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     """Headerless comma-separated matrix, one row per line, each float at
-    17 significant digits; a row of +0.0 entries is written from one
-    prebuilt line. The matrix must be finite with at least one row and one
+    17 significant digits; it must be finite with at least one row and one
     column, so that `read_matrix_csv` reads back every file written here."""
     matrix = _as_matrix(matrix)
     if 0 in matrix.shape:
@@ -218,11 +211,8 @@ def _read_matrix_lines(path: Path) -> np.ndarray:
 
 
 def write_labels_csv(labels: np.ndarray, path: str | Path) -> None:
-    """Single column of 0/1, one snapshot per line."""
-    labels = np.asarray(labels, dtype=bool)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError(f"labels must be a nonempty 1-D array, got shape {labels.shape}")
-    _write_lines(Path(path), ["1\n" if flag else "0\n" for flag in labels.tolist()])
+    """Single column of 0/1, one snapshot per line (labels as `_as_labels` takes them)."""
+    _write_lines(Path(path), ["1\n" if flag else "0\n" for flag in _as_labels(labels).tolist()])
 
 
 def read_labels_csv(path: str | Path) -> np.ndarray:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -343,6 +344,8 @@ BAD_BETAS = [
     pytest.param(1e-17, r"^beta must exceed 2\*\*-54 so that 1 - beta rounds below 1", id="tiny"),
     pytest.param("0.1", r"^beta must be a real number, got '0.1'$", id="text"),
     pytest.param(True, r"^beta must be a real number, got True$", id="bool"),
+    # an int that no float holds, which float() would reject with an OverflowError
+    pytest.param(10**400, r"^beta must be within the float range, got 10{400}$", id="huge-int"),
     pytest.param(Fraction(1, 200), r"^beta must be a real number, got Fraction\(1, 200\)$",
                  id="fraction"),
 ]
@@ -394,6 +397,16 @@ class TestBetaFirst:
     def test_numpy_floats_are_betas(self):
         want = q_threshold([2.0, 1.0, 0.5], 1, 0.005)
         assert q_threshold([2.0, 1.0, 0.5], 1, np.float64(0.005)) == want
+
+    def test_float32_beta_is_computed_as_a_python_float(self):
+        # the quantile of the float32's own value in double precision, not of
+        # 1 - beta rounded to float32 (2.326348231863754, 1.5e-7 away)
+        beta = np.float32(0.01)
+        th = q_threshold([2.0, 1.0, 0.5], 1, beta)
+        assert type(th.beta) is float and th.beta == float(beta)
+        assert th.c_beta == NormalDist().inv_cdf(1.0 - float(beta))
+        assert th.c_beta == pytest.approx(q_threshold([2.0, 1.0, 0.5], 1, 0.01).c_beta, rel=1e-8)
+        assert th == q_threshold([2.0, 1.0, 0.5], 1, float(beta))
 
 
 class TestProject:
@@ -564,13 +577,18 @@ class TestQThreshold:
             q_threshold([1e6, 5e5, 2e5, -1e-5], 1, 0.005)
 
     def test_non_1d_variances_rejected(self):
-        for variances, shape in (([[3.0, 2.0], [1.0, 0.5]], r"\(2, 2\)"), (3.0, r"\(\)")):
-            with pytest.raises(ValueError, match=rf"variances must be 1-D, got shape {shape}"):
+        for variances, ndim in (([[3.0, 2.0], [1.0, 0.5]], 2), (3.0, 0)):
+            with pytest.raises(ValueError, match=rf"^variances must be 1-D, got ndim={ndim}$"):
                 q_threshold(variances, 1, 0.005)
 
     def test_non_finite_variances_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             q_threshold([3.0, np.nan, 1.0], 1, 0.005)
+
+    def test_text_variances_rejected(self):
+        # parsed as 1.0, 0.5, 0.2 they would give Q_beta 3.7166
+        with pytest.raises(ValueError, match=r"^variances must hold real numbers, got dtype <U3$"):
+            q_threshold(["1", "0.5", "0.2"], 1, 0.01)
 
 
 class TestSpe:
@@ -1066,6 +1084,21 @@ class TestInputValidation:
             dataclasses.replace(model, basis=model.basis[:, :5])
         with pytest.raises(ValueError, match="one entry per basis row"):
             dataclasses.replace(model, mean=model.mean[:5])
+
+    @pytest.mark.parametrize("name", ["basis", "variances", "mean"])
+    @pytest.mark.parametrize("dtype", [complex, str])
+    def test_subspace_model_arrays_must_be_real(self, name, dtype):
+        # a complex basis would give a complex SPE; text would be parsed
+        model = build_pca_model(np.random.default_rng(49).normal(size=(6, 30)), 2)
+        bad = getattr(model, name).astype(dtype)
+        with pytest.raises(ValueError, match=rf"^{name} must hold real numbers, got dtype "):
+            dataclasses.replace(model, **{name: bad})
+
+    def test_subspace_model_arrays_are_cast_to_float(self):
+        model = build_pca_model(np.random.default_rng(49).normal(size=(6, 30)), 2)
+        rebuilt = dataclasses.replace(model, basis=model.basis.tolist(), mean=np.zeros(6, dtype=int))
+        assert rebuilt.basis.tobytes() == model.basis.tobytes()
+        assert rebuilt.mean.dtype == np.float64
 
     def test_one_dimensional_traffic_rejected(self):
         with pytest.raises(ValueError, match="2-D"):

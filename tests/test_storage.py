@@ -204,6 +204,23 @@ class TestLabelsCsv:
             write_labels_csv(labels, tmp_path / "labels.csv")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        ("labels", "message"),
+        [(["0", "1"], "got dtype <U1"), ([0.5], "got 0.5"), ([2], "got 2"), ([-1], "got -1")],
+        ids=["text", "half", "two", "minus-one"],
+    )
+    def test_labels_outside_the_rule_rejected(self, tmp_path, labels, message):
+        # each used to be cast to bool and written as a column of 1s, though
+        # `score` rejects it
+        with pytest.raises(ValueError, match=f"^labels must be 0/1 or bool, {message}$"):
+            write_labels_csv(labels, tmp_path / "labels.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float64])
+    def test_0_1_labels_of_any_real_dtype_are_written(self, tmp_path, dtype):
+        write_labels_csv(np.array([1, 0, 1], dtype=dtype), tmp_path / "labels.csv")
+        assert (tmp_path / "labels.csv").read_text() == "1\n0\n1\n"
+
 
 class TestTable:
     def test_text(self, tmp_path):
