@@ -29,6 +29,7 @@ from .ensembles import (
     EnsembleKind,
     SeedSpec,
     _check_int,
+    _check_items,
     _check_real,
     ensemble_matrix,
     gen_gaussian,
@@ -88,7 +89,7 @@ class SubspaceModel:
             raise ValueError(f"basis must be square, got {self.basis.shape}")
         if self.variances.shape != (m,) or self.mean.shape != (m,):
             raise ValueError("variances and mean must have one entry per basis row")
-        _check_rank(self.rank, m)
+        object.__setattr__(self, "rank", _check_rank(self.rank, m))
 
     @property
     def m(self) -> int:
@@ -132,12 +133,12 @@ class DetectionReport:
         return self.threshold is None
 
 
-def _check_rank(rank: int, m: int, name: str = "rank") -> None:
+def _check_rank(rank: int, m: int, name: str = "rank") -> int:
     # rank m would leave an empty residual subspace and an undefined Q_beta
     if m < 2:
         _check_int(name, rank, 1)  # a non-integer is named as such for every m
         raise ValueError(f"{name} must be in [1, m - 1], which needs m >= 2 links, got m = {m}")
-    _check_int(name, rank, 1, m - 1)
+    return _check_int(name, rank, 1, m - 1)
 
 
 def _check_method(method: str) -> None:
@@ -147,7 +148,7 @@ def _check_method(method: str) -> None:
 
 def _check_beta(beta: float) -> float:
     beta = _check_real("beta", beta)
-    if not 0.0 < beta < 1.0:
+    if not 0.0 < beta < 1.0:  # open ends: no threshold at 0 or 1
         raise ValueError(f"beta must lie strictly between 0 and 1, got {beta}")
     if 1.0 - beta == 1.0:  # c_beta, the (1 - beta) quantile, would be infinite
         raise ValueError(f"beta must exceed 2**-54 so that 1 - beta rounds below 1, got {beta}")
@@ -157,9 +158,7 @@ def _check_beta(beta: float) -> float:
 def _check_kinds(kinds: Iterable[EnsembleKind] | None) -> tuple[EnsembleKind, ...]:
     """The families `kinds` names (all when None), in the fixed family
     order; ValueError for an empty set, a non-member or a repeat."""
-    kinds = list(EnsembleKind) if kinds is None else list(kinds)
-    if not kinds:
-        raise ValueError("kinds must be nonempty")
+    kinds = list(EnsembleKind) if kinds is None else _check_items("kinds", kinds)
     for i, kind in enumerate(kinds):
         if not isinstance(kind, EnsembleKind):
             raise ValueError(f"kinds item {kind!r} is no EnsembleKind; see EnsembleKind.from_tag")
@@ -244,7 +243,7 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
     the row-centered traffic; basis columns are all m eigenvectors and the
     captured variances are the eigenvalues."""
     traffic = _traffic(y)
-    _check_rank(rank, traffic.y.shape[0])
+    rank = _check_rank(rank, traffic.y.shape[0])
     moments = traffic.moments(center=True)
     eigenvalues, eigenvectors = sym_eig(moments.covariance)
     return SubspaceModel(
@@ -274,8 +273,8 @@ def build_rbad_model(
     """
     traffic = _traffic(y)
     m, t = traffic.y.shape
-    _check_rank(rank, m)
-    _check_int("power_exponent", power_exponent, 0)
+    rank = _check_rank(rank, m)
+    power_exponent = _check_int("power_exponent", power_exponent, 0)
     moments = traffic.moments(center)
     # uncentered, the sketch reads Y itself rather than a copy of Y - 0
     b = (traffic.y - moments.mean[:, None] if center else traffic.y) @ gen_gaussian(t, m, seed, 1.0)
@@ -301,7 +300,7 @@ def build_sspbad_candidates(
     """
     traffic = _traffic(y)
     m = traffic.y.shape[0]
-    _check_rank(rank, m)
+    rank = _check_rank(rank, m)
     kinds = _check_kinds(kinds)
     moments = traffic.moments(center)
     models = []
@@ -352,7 +351,7 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     """
     beta = _check_beta(beta)
     variances = _as_matrix(variances, "variances", ndim=1)
-    _check_rank(rank, variances.shape[0])
+    rank = _check_rank(rank, variances.shape[0])
     scale = max(abs(variances[0]), 1.0)
     if (variances[1:] - variances[:-1] > 1e-10 * scale).any():
         raise ValueError("variances must be sorted in descending order")
@@ -419,13 +418,9 @@ def detect_ranks(
     rank this is the arithmetic of `project`, bit for bit. Each rank's
     threshold is `q_threshold`'s.
     """
-    _check_beta(beta)
+    beta = _check_beta(beta)
     y = _traffic(y, model.m).y
-    ranks = list(ranks)
-    if not ranks:
-        raise ValueError("ranks must be nonempty")
-    for rank in ranks:
-        _check_rank(rank, model.m)
+    ranks = [_check_rank(rank, model.m) for rank in _check_items("ranks", ranks)]
     lo, hi = min(ranks), max(ranks)
     work = _model_work(model, y)
     z = model.basis[:, :hi].T @ work
@@ -492,13 +487,12 @@ def detect_method(
     once (one for pca and rbad, one per ensemble for sspbad; pca is always
     centered and draws nothing from `seed`), run `detect_ranks` on each and
     keep the `sspbad_select` winner rank by rank."""
-    _check_beta(beta)
-    ranks = list(ranks)
-    if not ranks:
-        raise ValueError("ranks must be nonempty")
+    beta = _check_beta(beta)
+    ranks = _check_items("ranks", ranks)
     _check_method(method)
-    _check_int("power_exponent", power_exponent, 0)  # checked for pca too, which ignores it
-    kinds = _check_kinds(kinds)  # likewise
+    # checked for pca too, which ignores them
+    power_exponent = _check_int("power_exponent", power_exponent, 0)
+    kinds = _check_kinds(kinds)
     traffic = _traffic(y)
     if method == METHOD_PCA:
         models = [build_pca_model(traffic, ranks[0])]

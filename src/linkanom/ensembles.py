@@ -10,6 +10,7 @@ share a stream.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,29 +24,49 @@ __all__ = [
 ]
 
 
-def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
-    """The one rule for integer parameters: ValueError naming `name` unless
-    `value` is an int or numpy integer in [lo, hi] (no upper bound when hi
-    is None). A bool is not an integer here, though Python's bool is an
-    int subclass (numpy's bool_ is no np.integer)."""
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """The one rule for integer parameters: `value` as a Python int, or
+    ValueError naming `name` unless it is an int or numpy integer in
+    [lo, hi] (no upper bound when hi is None). A bool is no integer here,
+    though Python's bool subclasses int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)  # numpy integers would keep their own, wrapping, arithmetic
     if value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
-def _check_real(name: str, value) -> float:
-    """The one rule for real-valued parameters: `value` as a Python float,
-    or ValueError naming `name` unless it is an int, float, numpy integer
-    or numpy floating scalar (no bool, no `Fraction`). Each caller checks
-    its own range."""
+def _check_real(name: str, value, lo: float | None = None, hi: float | None = None) -> float:
+    """The one rule for real parameters: `value` as a finite Python float in
+    [lo, hi] (no bound when lo is None, none above when hi is), or
+    ValueError naming `name` unless it is an int, float, numpy integer or
+    numpy floating scalar (no bool, no `Fraction`)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:  # an int beyond the float range
         raise ValueError(f"{name} must be within the float range, got {value}") from None
+    if not (abs(value) < np.inf and (lo is None or lo <= value) and (hi is None or value <= hi)):
+        bounds = "" if lo is None else (f" and >= {lo}" if hi is None else f" and in [{lo}, {hi}]")
+        raise ValueError(f"{name} must be finite{bounds}, got {value}")
+    return value
+
+
+def _check_items(name: str, items, nonempty: bool = True) -> list:
+    """The rule for sequence parameters: `items` as a list, or ValueError
+    naming `name` for a string, a scalar, None or (if `nonempty`) no items."""
+    try:
+        if isinstance(items, (str, bytes)):
+            raise TypeError
+        items = list(items)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {items!r}") from None
+    if nonempty and not items:
+        raise ValueError(f"{name} must be nonempty")
+    return items
 
 
 class EnsembleKind(enum.Enum):
@@ -62,6 +83,8 @@ class EnsembleKind(enum.Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "EnsembleKind":
+        if not isinstance(tag, str):
+            raise ValueError(f"tag must be a string, got {tag!r}")
         tag = tag.strip().lower()
         if tag == "markov":  # accepted shorthand
             return cls.MARKOV
@@ -87,10 +110,11 @@ class SeedSpec:
     branch: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_int("master_seed", self.master_seed, 0, 2**64 - 1)
-        _check_int("stream_index", self.stream_index, 0)
-        for label in self.branch:
-            _check_int("branch label", label, 0)
+        keep = functools.partial(object.__setattr__, self)  # the checked values, as ints
+        keep("master_seed", _check_int("master_seed", self.master_seed, 0, 2**64 - 1))
+        keep("stream_index", _check_int("stream_index", self.stream_index, 0))
+        labels = _check_items("branch", self.branch, nonempty=False)
+        keep("branch", tuple(_check_int("branch label", label, 0) for label in labels))
 
     def split(self, *labels: int) -> "SeedSpec":
         """Derive a child stream guaranteed disjoint from every other
@@ -102,27 +126,23 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def _check_shape(rows: int, cols: int) -> None:
-    _check_int("rows", rows, 1)
-    _check_int("cols", cols, 1)
+def _check_shape(rows: int, cols: int) -> tuple[int, int]:
+    return _check_int("rows", rows, 1), _check_int("cols", cols, 1)
 
 
 def gen_gaussian(rows: int, cols: int, seed: SeedSpec, stddev: float = 1.0) -> np.ndarray:
-    """i.i.d. N(0, stddev^2) entries."""
-    _check_shape(rows, cols)
-    _check_real("stddev", stddev)
-    if not 0.0 < stddev < np.inf:
-        raise ValueError(f"stddev must be positive and finite, got {stddev}")
-    return seed.generator().normal(0.0, stddev, size=(rows, cols))
+    """i.i.d. N(0, stddev^2) entries; zeros, still drawn from the stream,
+    when stddev is 0."""
+    shape = _check_shape(rows, cols)
+    stddev = _check_real("stddev", stddev, 0)
+    return seed.generator().normal(0.0, stddev, size=shape)
 
 
 def gen_bernoulli(rows: int, cols: int, p: float, seed: SeedSpec) -> np.ndarray:
     """i.i.d. {0, 1} entries, each 1 with probability p."""
-    _check_shape(rows, cols)
-    _check_real("p", p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return (seed.generator().random(size=(rows, cols)) < p).astype(float)
+    shape = _check_shape(rows, cols)
+    p = _check_real("p", p, 0, 1)
+    return (seed.generator().random(size=shape) < p).astype(float)
 
 
 def ensemble_matrix(kind: EnsembleKind, rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
@@ -139,10 +159,8 @@ def ensemble_matrix(kind: EnsembleKind, rows: int, cols: int, seed: SeedSpec) ->
     if kind is EnsembleKind.BERNOULLI_HALF:
         return gen_bernoulli(rows, cols, 0.5, seed)
     if kind is EnsembleKind.MARKOV:
-        _check_shape(rows, cols)
-        u = 1.0 - seed.generator().random(size=(rows, cols))
+        u = 1.0 - seed.generator().random(size=_check_shape(rows, cols))
         return u / u.sum(axis=0)
     if kind is EnsembleKind.RADEMACHER:
-        _check_shape(rows, cols)
-        return seed.generator().integers(0, 2, size=(rows, cols)) * 2.0 - 1.0
+        return seed.generator().integers(0, 2, size=_check_shape(rows, cols)) * 2.0 - 1.0
     raise ValueError(f"unknown ensemble kind: {kind!r}")

@@ -32,7 +32,7 @@ from .detectors import (
     build_sspbad_candidates,
     detect_method,
 )
-from .ensembles import EnsembleKind, SeedSpec, _check_int
+from .ensembles import EnsembleKind, SeedSpec, _check_int, _check_items
 from .linalg import _as_labels
 from .traffic import ScenarioConfig, assemble_scenario
 
@@ -102,13 +102,12 @@ class VarianceTable:
 
 
 def score(report: DetectionReport, labels: Sequence[bool]) -> ConfusionCounts:
-    """Confusion counts of report flags against ground-truth labels: one
-    label per flag, under the label rule of `linalg._as_labels`."""
-    flags = report.flags
-    if np.shape(labels) != flags.shape:
-        raise ValueError(f"labels must be 1-D, one per flag: got shape {np.shape(labels)} "
-                         f"for flags of shape {flags.shape}")
-    tn, fn, fp, tp = np.bincount(2 * flags + _as_labels(labels), minlength=4).tolist()
+    """Confusion counts of report flags against ground-truth labels: under
+    the label rule of `linalg._as_labels`, one label per flag."""
+    labels, flags = _as_labels(labels), report.flags
+    if labels.shape != flags.shape:
+        raise ValueError(f"labels must be one per flag: got {labels.size} for {flags.size} flags")
+    tn, fn, fp, tp = np.bincount(2 * flags + labels, minlength=4).tolist()
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
@@ -297,24 +296,20 @@ def sweep_rank(
     is restored afterwards, also when a trial raises. Where numpy.libs
     holds no OpenBLAS exposing its thread count this is a no-op.
     """
-    _check_beta(beta)
-    methods = list(methods)
-    if not methods:
-        raise ValueError("methods must be nonempty")
+    beta = _check_beta(beta)
+    methods = _check_items("methods", methods)
     for i, method in enumerate(methods):
         _check_method(method)
         if method in methods[:i]:
             raise ValueError(f"methods repeat method {method!r}")
-    rank_grid = list(rank_grid)
-    if not rank_grid:
-        raise ValueError("rank_grid must be nonempty")
+    rank_grid = [_check_rank(rank, cfg.m, "rank grid value")
+                 for rank in _check_items("rank_grid", rank_grid)]
     for i, rank in enumerate(rank_grid):
-        _check_rank(rank, cfg.m, "rank grid value")
         if rank in rank_grid[:i]:
             raise ValueError(f"rank grid repeats rank {rank}")
-    _check_int("power_exponent", power_exponent, 0)
-    _check_int("trials", trials, 1)
-    _check_int("workers", workers, 1)
+    power_exponent = _check_int("power_exponent", power_exponent, 0)
+    trials = _check_int("trials", trials, 1)
+    workers = _check_int("workers", workers, 1)
     kinds = _check_kinds(kinds)  # a tuple: every trial reads it
 
     def run(trial: int) -> list[MetricRow]:

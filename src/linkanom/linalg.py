@@ -20,7 +20,10 @@ def _as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     """The one rule for array input: `a` as a finite float64 array with
     `ndim` dimensions. Only bool, integer and real input is cast: complex
     would lose its imaginary part, and object or string input be parsed."""
-    a = np.asarray(a)
+    try:
+        a = np.asarray(a)
+    except ValueError:  # numpy's own message names no parameter
+        raise ValueError(f"{name} must be a rectangular array, not a ragged sequence") from None
     if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
     a = a.astype(float, copy=False)
@@ -34,17 +37,15 @@ def _as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
 
 
 def _as_labels(labels) -> np.ndarray:
-    """The one rule for ground-truth labels: a nonempty 1-D array of bool,
-    or of 0/1 in an integer or real dtype, returned as bool."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError(f"labels must be a nonempty 1-D array, got shape {labels.shape}")
-    if labels.dtype.kind not in "biuf":
-        raise ValueError(f"labels must be 0/1 or bool, got dtype {labels.dtype}")
-    bad = (labels != 0) & (labels != 1)
+    """The one rule for ground-truth labels: the array rule with ndim 1,
+    nonempty, every value 0 or 1 (bool included); returned as bool."""
+    labels = _as_matrix(labels, "labels", ndim=1)
+    if labels.size == 0:
+        raise ValueError("labels must be nonempty")
+    bad = (labels != 0.0) & (labels != 1.0)
     if bad.any():
-        raise ValueError(f"labels must be 0/1 or bool, got {labels[bad][0].item()!r}")
-    return labels == 1
+        raise ValueError(f"labels must be 0/1 or bool, got {labels[bad][0]:.17g}")
+    return labels == 1.0
 
 
 def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,18 +57,15 @@ class ScenarioConfig:
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
 
     def __post_init__(self) -> None:
+        keep = functools.partial(object.__setattr__, self)  # the checked values, as int and float
         for name in ("m", "n", "t"):
-            _check_int(name, getattr(self, name), 1)
-        _check_int("r_true", self.r_true, 0, min(self.n, self.t))
-        _check_real("routing_density", self.routing_density)
-        if not 0.0 <= self.routing_density <= 1.0:
-            raise ValueError(f"routing_density must be in [0, 1], got {self.routing_density}")
-        _check_int("anomaly_count", self.anomaly_count, 0, self.n * self.t)
-        _check_real("noise_variance", self.noise_variance)
-        if not 0.0 <= self.noise_variance < np.inf:
-            raise ValueError(
-                f"noise_variance must be nonnegative and finite, got {self.noise_variance}"
-            )
+            keep(name, _check_int(name, getattr(self, name), 1))
+        keep("r_true", _check_int("r_true", self.r_true, 0, min(self.n, self.t)))
+        keep("routing_density", _check_real("routing_density", self.routing_density, 0, 1))
+        keep("anomaly_count", _check_int("anomaly_count", self.anomaly_count, 0, self.n * self.t))
+        keep("noise_variance", _check_real("noise_variance", self.noise_variance, 0))
+        if not isinstance(self.seed, SeedSpec):
+            raise ValueError(f"seed must be a SeedSpec, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,7 @@ def assemble_scenario(cfg: ScenarioConfig) -> Scenario:
     values = rng.integers(0, 2, size=cfg.anomaly_count) * 2.0 - 1.0
     y = (routing @ u) @ w.T
     _add_routed_anomalies(y, routing, positions, values)
-    if cfg.noise_variance > 0.0:
-        v = gen_gaussian(cfg.m, t, cfg.seed.split(_NOISE), np.sqrt(cfg.noise_variance))
-    else:
-        v = np.zeros((cfg.m, t))
+    v = gen_gaussian(cfg.m, t, cfg.seed.split(_NOISE), np.sqrt(cfg.noise_variance))
     y += v
     return Scenario(y=y, routing=routing, u=u, w=w, anomaly_positions=positions,
                     anomaly_values=values, v=v, labels=_entry_labels(t, positions), config=cfg)

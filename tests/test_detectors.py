@@ -340,7 +340,7 @@ class TestEnsembleSets:
 BAD_BETAS = [
     pytest.param(1.5, r"^beta must lie strictly between 0 and 1, got 1.5$", id="above-1"),
     pytest.param(0.0, r"^beta must lie strictly between 0 and 1, got 0.0$", id="zero"),
-    pytest.param(math.nan, r"^beta must lie strictly between 0 and 1, got nan$", id="nan"),
+    pytest.param(math.nan, r"^beta must be finite, got nan$", id="nan"),
     pytest.param(1e-17, r"^beta must exceed 2\*\*-54 so that 1 - beta rounds below 1", id="tiny"),
     pytest.param("0.1", r"^beta must be a real number, got '0.1'$", id="text"),
     pytest.param(True, r"^beta must be a real number, got True$", id="bool"),

@@ -74,9 +74,15 @@ class TestGaussian:
         assert 0.9 <= sample.var() <= 1.1
 
     def test_bad_stddev(self):
-        for stddev in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="stddev"):
+        for stddev in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=rf"^stddev must be finite and >= 0, got {stddev}$"):
                 gen_gaussian(2, 2, SEED, stddev)
+
+    def test_zero_stddev_draws_positive_zeros(self):
+        # the noise of a noise_variance=0 scenario: +0.0, as np.zeros gives
+        zeros = gen_gaussian(5, 7, SEED, 0.0)
+        assert zeros.dtype == float and zeros.shape == (5, 7)
+        assert not zeros.any() and not np.signbit(zeros).any()
 
 
 class TestBernoulli:

@@ -66,19 +66,28 @@ class TestScore:
         with pytest.raises(ValueError, match="labels"):
             score(_report([True, False]), [True])
 
-    @pytest.mark.parametrize("labels, shape", [
-        ("x" * 4, r"\(\)"), ([[True], [False], [True], [False]], r"\(4, 1\)"), (1, r"\(\)"),
-    ])
-    def test_labels_must_be_one_per_flag(self, labels, shape):
-        message = rf"^labels must be 1-D, one per flag: got shape {shape} for flags of shape \(4,\)$"
+    def test_labels_must_be_one_per_flag(self):
+        message = r"^labels must be one per flag: got 3 for 4 flags$"
         with pytest.raises(ValueError, match=message):
+            score(_report([True, False, True, False]), [True, False, True])
+
+    # the label rule is the array rule (dtype, ndim 1, finite) plus 0/1, and
+    # it comes before the length check
+    @pytest.mark.parametrize("labels, message", [
+        ("x" * 4, r"must hold real numbers, got dtype <U4"),
+        ([[True], [False], [True], [False]], r"must be 1-D, got ndim=2"),
+        (1, r"must be 1-D, got ndim=0"),
+        ([1.0, np.nan, 0.0], r"has 1 non-finite values \(NaN or inf\)"),
+        (["1", "0", "1", "0"], r"must hold real numbers, got dtype <U1"),
+        ([[1, 0], [1]], r"must be a rectangular array, not a ragged sequence"),
+    ], ids=["text-scalar", "2-D", "scalar", "nan", "text", "ragged"])
+    def test_the_label_rule_comes_first(self, labels, message):
+        with pytest.raises(ValueError, match=rf"^labels {message}$"):
             score(_report([True, False, True, False]), labels)
 
     @pytest.mark.parametrize("labels, message", [
         ([1, 0, 2, 0], r"got 2$"),
         ([1.0, 0.5, 0.0, 1.0], r"got 0.5$"),
-        ([1.0, np.nan, 0.0, 1.0], r"got nan$"),
-        (["1", "0", "1", "0"], r"got dtype <U1$"),
     ])
     def test_labels_must_be_0_1_or_bool(self, labels, message):
         with pytest.raises(ValueError, match=r"^labels must be 0/1 or bool, " + message):

@@ -4,6 +4,7 @@ label semantics, and seed isolation."""
 import dataclasses
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -126,7 +127,8 @@ class TestAssembleScenario:
 
     def test_noiseless_reassembly_with_anomalies_is_exact(self):
         sc = assemble_scenario(dataclasses.replace(SMALL, noise_variance=0.0))
-        assert sc.labels.any() and not sc.v.any()
+        # V is drawn by gen_gaussian at stddev 0: +0.0 everywhere, as np.zeros
+        assert sc.labels.any() and not sc.v.any() and not np.signbit(sc.v).any()
         want = (sc.routing @ sc.u) @ sc.w.T + sc.routing @ sc.a + sc.v
         np.testing.assert_array_equal(sc.y, want)
         assert not np.signbit(sc.y[sc.y == 0.0]).any()  # -0.0 + 0.0 is +0.0, as before
@@ -201,7 +203,7 @@ class TestAssembleScenario:
             with pytest.raises(ValueError, match=rf"^{name} must be an integer, got True$"):
                 ScenarioConfig(**{name: True})
         for density in (1.5, -0.1):
-            with pytest.raises(ValueError, match=r"^routing_density must be in \[0, 1\]"):
+            with pytest.raises(ValueError, match=r"^routing_density must be finite and in \[0, 1\]"):
                 ScenarioConfig(routing_density=density)
         # numpy integers are sizes: the same scenario, bit for bit
         sizes = {name: np.int64(getattr(SMALL, name))
@@ -210,7 +212,8 @@ class TestAssembleScenario:
             assemble_scenario(dataclasses.replace(SMALL, **sizes)).y, assemble_scenario(SMALL).y
         )
         for bad in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="noise_variance"):
+            message = rf"^noise_variance must be finite and >= 0, got {bad}$"
+            with pytest.raises(ValueError, match=message):
                 ScenarioConfig(noise_variance=bad)
 
     @pytest.mark.parametrize("name, value", [
@@ -230,6 +233,24 @@ class TestAssembleScenario:
         np.testing.assert_array_equal(
             assemble_scenario(dataclasses.replace(SMALL, **reals)).y, assemble_scenario(SMALL).y
         )
+
+    def test_float32_noise_variance_is_computed_as_a_python_float(self):
+        # the noise was scaled by a float32 square root: V moved by up to 1.3e-8
+        cfg = dataclasses.replace(SMALL, noise_variance=np.float32(0.1))
+        assert type(cfg.noise_variance) is float
+        want = assemble_scenario(dataclasses.replace(SMALL, noise_variance=float(np.float32(0.1))))
+        got = assemble_scenario(cfg)
+        np.testing.assert_array_equal(got.v, want.v)
+        np.testing.assert_array_equal(got.y, want.y)
+
+    def test_numpy_integer_sizes_bound_anomaly_count_as_python_ints(self):
+        # n * t of two np.int64(2**40) wrapped to 0, which refused anomaly_count=5
+        big = np.int64(2**40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = ScenarioConfig(m=2, n=big, t=big, r_true=0, anomaly_count=5)
+        assert cfg == ScenarioConfig(m=2, n=2**40, t=2**40, r_true=0, anomaly_count=5)
+        assert all(type(getattr(cfg, name)) is int for name in ("m", "n", "t", "r_true"))
 
     def test_scenario_carries_its_config(self):
         sc = assemble_scenario(SMALL)
