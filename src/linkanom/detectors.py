@@ -28,9 +28,11 @@ import numpy as np
 from .ensembles import (
     EnsembleKind,
     SeedSpec,
+    _check_bool,
     _check_int,
     _check_items,
     _check_real,
+    _check_seed,
     ensemble_matrix,
     gen_gaussian,
 )
@@ -70,13 +72,13 @@ class DegenerateSpectrumError(ValueError):
 @dataclass(frozen=True)
 class SubspaceModel:
     """Full orthonormal basis with per-column captured variances sorted
-    descending; the first `rank` columns form the normal subspace."""
+    descending; the first `rank` columns form the normal subspace. The
+    traffic loses `mean` before projecting (zeros unless fitted centered)."""
 
     basis: np.ndarray
     variances: np.ndarray
     rank: int
     method: str
-    centered: bool
     mean: np.ndarray
     ensemble: EnsembleKind | None = None
     power_exponent: int | None = None
@@ -186,6 +188,7 @@ class _Traffic:
         self._reduced: tuple[np.ndarray, np.ndarray] | None = None
 
     def moments(self, center: bool) -> _Moments:
+        center = _check_bool("center", center)
         m, t = self.y.shape
         if self._reduced is None:
             if t < 2:
@@ -218,7 +221,6 @@ def _ranked_basis_model(
     moments: _Moments,
     rank: int,
     method: str,
-    centered: bool,
     ensemble: EnsembleKind | None = None,
     power_exponent: int | None = None,
 ) -> SubspaceModel:
@@ -231,7 +233,6 @@ def _ranked_basis_model(
         variances=variances[order],
         rank=rank,
         method=method,
-        centered=centered,
         mean=moments.mean,
         ensemble=ensemble,
         power_exponent=power_exponent,
@@ -251,7 +252,6 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
         variances=eigenvalues,
         rank=rank,
         method=METHOD_PCA,
-        centered=True,
         mean=moments.mean,
     )
 
@@ -275,13 +275,13 @@ def build_rbad_model(
     m, t = traffic.y.shape
     rank = _check_rank(rank, m)
     power_exponent = _check_int("power_exponent", power_exponent, 0)
+    seed = _check_seed(seed)
     moments = traffic.moments(center)
-    # uncentered, the sketch reads Y itself rather than a copy of Y - 0
-    b = (traffic.y - moments.mean[:, None] if center else traffic.y) @ gen_gaussian(t, m, seed, 1.0)
+    b = _without_mean(traffic.y, moments.mean) @ gen_gaussian(t, m, seed, 1.0)
     for _ in range(power_exponent):
         b = moments.second @ b
     q, _ = householder_qr(b)
-    return _ranked_basis_model(q, moments, rank, METHOD_RBAD, center, power_exponent=power_exponent)
+    return _ranked_basis_model(q, moments, rank, METHOD_RBAD, power_exponent=power_exponent)
 
 
 def build_sspbad_candidates(
@@ -302,6 +302,7 @@ def build_sspbad_candidates(
     m = traffic.y.shape[0]
     rank = _check_rank(rank, m)
     kinds = _check_kinds(kinds)
+    seed = _check_seed(seed)
     moments = traffic.moments(center)
     models = []
     for index, kind in enumerate(EnsembleKind):
@@ -309,7 +310,7 @@ def build_sspbad_candidates(
             continue
         t2 = ensemble_matrix(kind, m, m, seed.split(index))
         q, _ = householder_qr(moments.second @ t2)
-        models.append(_ranked_basis_model(q, moments, rank, METHOD_SSPBAD, center, ensemble=kind))
+        models.append(_ranked_basis_model(q, moments, rank, METHOD_SSPBAD, ensemble=kind))
     return models
 
 
@@ -317,21 +318,21 @@ def project(model: SubspaceModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Split traffic into modeled and residual parts, y_hat + y_tilde == y.
 
     The residual is the projection onto the orthogonal complement of the
-    first `rank` basis columns; for centered models the mean is removed
-    before projecting and folded back into y_hat, so the residual stays
-    mean-free.
+    first `rank` basis columns. The model's mean is removed before
+    projecting and folded back into y_hat, so for a centered model the
+    residual stays mean-free.
     """
     y = _traffic(y, model.m).y
     p = model.basis[:, : model.rank]
-    work = _model_work(model, y)
+    work = _without_mean(y, model.mean)
     y_tilde = work - p @ (p.T @ work)
     y_hat = y - y_tilde
     return y_hat, y_tilde
 
 
-def _model_work(model: SubspaceModel, y: np.ndarray) -> np.ndarray:
-    """The traffic as the model sees it: mean-removed for centered models."""
-    return y - model.mean[:, None] if model.centered else y
+def _without_mean(y: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """y less the row means `mean`, or y itself (no copy) when all are zero."""
+    return y - mean[:, None] if mean.any() else y
 
 
 def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshold:
@@ -422,7 +423,7 @@ def detect_ranks(
     y = _traffic(y, model.m).y
     ranks = [_check_rank(rank, model.m) for rank in _check_items("ranks", ranks)]
     lo, hi = min(ranks), max(ranks)
-    work = _model_work(model, y)
+    work = _without_mean(y, model.mean)
     z = model.basis[:, :hi].T @ work
     # the rank-lo residual, then its squares, in one m x t buffer
     residual = model.basis[:, :lo] @ z[:lo]
@@ -493,7 +494,10 @@ def detect_method(
     # checked for pca too, which ignores them
     power_exponent = _check_int("power_exponent", power_exponent, 0)
     kinds = _check_kinds(kinds)
+    seed = _check_seed(seed)
+    center = _check_bool("center", center)
     traffic = _traffic(y)
+    ranks = [_check_rank(rank, traffic.y.shape[0]) for rank in ranks]
     if method == METHOD_PCA:
         models = [build_pca_model(traffic, ranks[0])]
     elif method == METHOD_RBAD:

@@ -55,6 +55,14 @@ def _check_real(name: str, value, lo: float | None = None, hi: float | None = No
     return value
 
 
+def _check_bool(name: str, value) -> bool:
+    """The rule for switches: `value` as a Python bool, or ValueError naming
+    `name` unless it is a bool or numpy bool (no 0, 1, None or text)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _check_items(name: str, items, nonempty: bool = True) -> list:
     """The rule for sequence parameters: `items` as a list, or ValueError
     naming `name` for a string, a scalar, None or (if `nonempty`) no items."""
@@ -126,6 +134,14 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(seq))
 
 
+def _check_seed(seed) -> SeedSpec:
+    """The rule for seeds: `seed` itself, or ValueError naming it unless it
+    is a SeedSpec (an integer is no seed; SeedSpec(7) is)."""
+    if not isinstance(seed, SeedSpec):
+        raise ValueError(f"seed must be a SeedSpec, got {seed!r}")
+    return seed
+
+
 def _check_shape(rows: int, cols: int) -> tuple[int, int]:
     return _check_int("rows", rows, 1), _check_int("cols", cols, 1)
 
@@ -135,14 +151,14 @@ def gen_gaussian(rows: int, cols: int, seed: SeedSpec, stddev: float = 1.0) -> n
     when stddev is 0."""
     shape = _check_shape(rows, cols)
     stddev = _check_real("stddev", stddev, 0)
-    return seed.generator().normal(0.0, stddev, size=shape)
+    return _check_seed(seed).generator().normal(0.0, stddev, size=shape)
 
 
 def gen_bernoulli(rows: int, cols: int, p: float, seed: SeedSpec) -> np.ndarray:
     """i.i.d. {0, 1} entries, each 1 with probability p."""
     shape = _check_shape(rows, cols)
     p = _check_real("p", p, 0, 1)
-    return (seed.generator().random(size=shape) < p).astype(float)
+    return (_check_seed(seed).generator().random(size=shape) < p).astype(float)
 
 
 def ensemble_matrix(kind: EnsembleKind, rows: int, cols: int, seed: SeedSpec) -> np.ndarray:
@@ -154,6 +170,7 @@ def ensemble_matrix(kind: EnsembleKind, rows: int, cols: int, seed: SeedSpec) ->
                         column normalized to sum 1 (no column is all-zero);
     * rademacher     -- i.i.d. entries drawn equiprobably from {-1, +1}.
     """
+    seed = _check_seed(seed)
     if kind is EnsembleKind.GAUSSIAN:
         return gen_gaussian(rows, cols, seed, 1.0)
     if kind is EnsembleKind.BERNOULLI_HALF:

@@ -32,7 +32,7 @@ from .detectors import (
     build_sspbad_candidates,
     detect_method,
 )
-from .ensembles import EnsembleKind, SeedSpec, _check_int, _check_items
+from .ensembles import EnsembleKind, SeedSpec, _check_bool, _check_int, _check_items, _check_seed
 from .linalg import _as_labels
 from .traffic import ScenarioConfig, assemble_scenario
 
@@ -154,6 +154,7 @@ def variance_compare(
     variance.
     """
     kinds = _check_kinds(kinds)
+    seed = _check_seed(seed)
     traffic = _Traffic(y)
     pca = build_pca_model(traffic, rank)
     reference = pca.variances[:rank]
@@ -311,6 +312,7 @@ def sweep_rank(
     trials = _check_int("trials", trials, 1)
     workers = _check_int("workers", workers, 1)
     kinds = _check_kinds(kinds)  # a tuple: every trial reads it
+    center = _check_bool("center", center)
 
     def run(trial: int) -> list[MetricRow]:
         return _run_trial(cfg, trial, methods, rank_grid, beta, power_exponent, kinds, center)

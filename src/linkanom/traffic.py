@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import SeedSpec, _check_int, _check_real, gen_bernoulli, gen_gaussian
+from .ensembles import SeedSpec, _check_int, _check_real, _check_seed, gen_bernoulli, gen_gaussian
 
 __all__ = [
     "ScenarioConfig",
@@ -64,8 +64,7 @@ class ScenarioConfig:
         keep("routing_density", _check_real("routing_density", self.routing_density, 0, 1))
         keep("anomaly_count", _check_int("anomaly_count", self.anomaly_count, 0, self.n * self.t))
         keep("noise_variance", _check_real("noise_variance", self.noise_variance, 0))
-        if not isinstance(self.seed, SeedSpec):
-            raise ValueError(f"seed must be a SeedSpec, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ TypeError or a warning.
 Scalars, enums and sequences: a bool, text, a complex number, a
 `Fraction`, None, NaN, inf or a value out of range raises a ValueError
 naming the parameter, and numpy integer and floating scalars are stored
-as Python ints and floats.
+as Python ints and floats. A seed is a `SeedSpec`, and a switch a bool or
+numpy bool, or the same ValueError is raised.
 
 The command line: bad input exits 1 with one `error: ` line and leaves
 no output directory; an argparse usage error exits 2 through SystemExit.
@@ -62,7 +63,7 @@ def _report() -> DetectionReport:
 
 def _model(**arrays) -> SubspaceModel:
     fields = {"basis": np.eye(3), "variances": np.array([3.0, 2.0, 1.0]), "mean": np.zeros(3)}
-    return SubspaceModel(**(fields | arrays), rank=1, method="pca", centered=True)
+    return SubspaceModel(**(fields | arrays), rank=1, method="pca")
 
 
 # (parameter name as the message gives it, expected ndim, call with the bad array)
@@ -181,22 +182,28 @@ PARAMETERS = {
     "gen_gaussian-rows": ("rows", [0], lambda v: gen_gaussian(v, 2, _SEED)),
     "gen_gaussian-cols": ("cols", [0], lambda v: gen_gaussian(2, v, _SEED)),
     "gen_gaussian-stddev": ("stddev", [-1.0], lambda v: gen_gaussian(2, 2, _SEED, v)),
+    # an int seed raised an AttributeError from 7.generator
+    "gen_gaussian-seed": ("seed", [7, "7"], lambda v: gen_gaussian(2, 2, v)),
     "gen_bernoulli-rows": ("rows", [0], lambda v: gen_bernoulli(v, 2, 0.5, _SEED)),
     "gen_bernoulli-p": ("p", [-0.5, 1.5], lambda v: gen_bernoulli(2, 2, v, _SEED)),
+    "gen_bernoulli-seed": ("seed", [7, "7"], lambda v: gen_bernoulli(2, 2, 0.5, v)),
     "ensemble_matrix-kind": ("unknown ensemble kind", ["gaussian"],
                              lambda v: ensemble_matrix(v, 2, 2, _SEED)),
     "ensemble_matrix-rows": ("rows", [0], lambda v: ensemble_matrix(EnsembleKind.MARKOV, v, 2, _SEED)),
     "ensemble_matrix-cols": ("cols", [0],
                              lambda v: ensemble_matrix(EnsembleKind.RADEMACHER, 2, v, _SEED)),
+    "ensemble_matrix-seed": ("seed", [7, "7"], lambda v: ensemble_matrix(EnsembleKind.MARKOV, 2, 2, v)),
     # None raised an AttributeError from None.strip
     "EnsembleKind.from_tag": ("tag|unknown ensemble kind", ["gauss"], EnsembleKind.from_tag),
     "build_pca_model-rank": ("rank", [0, 6], lambda v: build_pca_model(_Y, v)),
     "build_rbad_model-rank": ("rank", [0, 6], lambda v: build_rbad_model(_Y, v, _SEED)),
     "build_rbad_model-power_exponent": ("power_exponent", [-1],
                                         lambda v: build_rbad_model(_Y, 2, _SEED, v)),
+    "build_rbad_model-seed": ("seed", [7, "7"], lambda v: build_rbad_model(_Y, 2, v)),
     "build_sspbad_candidates-rank": ("rank", [0, 6], lambda v: build_sspbad_candidates(_Y, v, _SEED)),
     "build_sspbad_candidates-kinds": ("kinds", [[], [EnsembleKind.GAUSSIAN] * 2, ["gaussian"]],
                                       lambda v: build_sspbad_candidates(_Y, 2, _SEED, v)),
+    "build_sspbad_candidates-seed": ("seed", [7, "7"], lambda v: build_sspbad_candidates(_Y, 2, v)),
     "detect_ranks-ranks": ("ranks", [[]], lambda v: detect_ranks(_MODEL, _Y[:3], v)),
     "detect_ranks-rank": ("rank", [0, 3], lambda v: detect_ranks(_MODEL, _Y[:3], [1, v])),
     "detect_ranks-beta": ("beta", [0.0, 1.0, -0.5, 1e-17],
@@ -209,6 +216,10 @@ PARAMETERS = {
                                      lambda v: detect_method("pca", _Y, [2], _SEED, power_exponent=v)),
     "detect_method-kinds": ("kinds", [[], ["gaussian"]],
                             lambda v: detect_method("pca", _Y, [2], _SEED, kinds=v)),
+    # pca, which draws nothing, never read it
+    **{f"detect_method-{method}-seed": ("seed", [7, "7"],
+                                        lambda v, method=method: detect_method(method, _Y, [2], v))
+       for method in ("pca", "rbad", "sspbad")},
     "q_threshold-rank": ("rank", [0, 3], lambda v: q_threshold([3.0, 2.0, 1.0], v, 0.01)),
     "q_threshold-beta": ("beta", [0.0, 1.0, 2.0], lambda v: q_threshold([3.0, 2.0, 1.0], 1, v)),
     "sweep_rank-methods": ("methods", [[], ["pca", "pca"]], lambda v: _sweep(methods=v)),
@@ -225,6 +236,7 @@ PARAMETERS = {
                                         lambda v: variance_compare(_Y, 2, _SEED, v)),
     "variance_compare-kinds": ("kinds", [[], ["gaussian"]],
                                lambda v: variance_compare(_Y, 2, _SEED, kinds=v)),
+    "variance_compare-seed": ("seed", [7, "7"], lambda v: variance_compare(_Y, 2, v)),
 }
 
 
@@ -234,6 +246,24 @@ def test_bad_scalars_raise_a_value_error_naming_the_parameter(parameter):
     for value in NOT_A_VALUE + out_of_range:
         if not (value is None and prefix == "kinds"):  # kinds=None is every family
             _raises_naming(prefix, call, value)
+
+
+# a switch takes a bool or numpy bool only: any truthy value used to center
+NOT_A_BOOL = ["no", 1, None, 0, 1.0, "True", np.int64(1)]
+SWITCHES = {
+    "build_rbad_model-center": lambda v: build_rbad_model(_Y, 2, _SEED, center=v),
+    "build_sspbad_candidates-center": lambda v: build_sspbad_candidates(_Y, 2, _SEED, center=v),
+    **{f"detect_method-{method}-center":
+       lambda v, method=method: detect_method(method, _Y, [2], _SEED, center=v)
+       for method in ("pca", "rbad", "sspbad")},
+    "sweep_rank-center": lambda v: _sweep(center=v),
+}
+
+
+@pytest.mark.parametrize("parameter", SWITCHES)
+def test_bad_switches_raise_a_value_error_naming_the_parameter(parameter):
+    for value in NOT_A_BOOL:
+        _raises_naming("center", SWITCHES[parameter], value)
 
 
 @pytest.mark.parametrize("call", [

@@ -155,7 +155,6 @@ class TestBuildPcaModel:
         y = np.random.default_rng(1).normal(size=(8, 40))
         model = build_pca_model(y, 3)
         assert model.method == "pca"
-        assert model.centered
         assert model.rank == 3
         np.testing.assert_allclose(model.mean, y.mean(axis=1))
 
@@ -197,8 +196,7 @@ class TestBuildRbadModel:
         y = rng.normal(5.0, 1.0, size=(12, 60))
         plain = build_rbad_model(y, 4, SeedSpec(1))
         centered = build_rbad_model(y, 4, SeedSpec(1), center=True)
-        assert not plain.centered and (plain.mean == 0).all()
-        assert centered.centered
+        assert (plain.mean == 0).all()
         np.testing.assert_allclose(centered.mean, y.mean(axis=1))
 
     def test_negative_power_rejected(self):
@@ -375,10 +373,10 @@ class TestBetaFirst:
         y = np.random.default_rng(12).normal(size=(10, 50))
         model = build_pca_model(y, 4)
 
-        def work(model, y):
+        def work(y, mean):
             raise AssertionError("the traffic was projected")
 
-        monkeypatch.setattr(detectors, "_model_work", work)
+        monkeypatch.setattr(detectors, "_without_mean", work)
         with pytest.raises(ValueError, match=message):
             detect_ranks(model, y, [4, 6], beta)
         with pytest.raises(ValueError, match=message):
@@ -407,6 +405,37 @@ class TestBetaFirst:
         assert th.c_beta == NormalDist().inv_cdf(1.0 - float(beta))
         assert th.c_beta == pytest.approx(q_threshold([2.0, 1.0, 0.5], 1, 0.01).c_beta, rel=1e-8)
         assert th == q_threshold([2.0, 1.0, 0.5], 1, float(beta))
+
+
+class TestChecksBeforeAnyFit:
+    """`detect_method` checks every rank, its seed and `center` before it
+    reduces the traffic for any fit, for every method; `sweep_rank` checks
+    `center` before any trial."""
+
+    BAD = {
+        # the second rank was checked only by detect_ranks, after the fit
+        "rank": ({"ranks": [2, 10]}, r"^rank must be in \[1, 9\], got 10$"),
+        "seed": ({"seed": 7}, r"^seed must be a SeedSpec, got 7$"),
+        "center": ({"center": "no"}, r"^center must be a bool, got 'no'$"),
+    }
+
+    @pytest.mark.parametrize("method", ["pca", "rbad", "sspbad"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_detect_method(self, monkeypatch, method, bad):
+        monkeypatch.setattr(detectors._Traffic, "moments", _no_fit)
+        given, message = self.BAD[bad]
+        y = np.random.default_rng(12).normal(size=(10, 50))
+        with pytest.raises(ValueError, match=message):
+            detect_method(method, **({"y": y, "ranks": [2, 4], "seed": SeedSpec(1)} | given))
+
+    def test_sweep_center(self, monkeypatch):
+        def assemble(cfg):
+            raise AssertionError("a scenario was assembled")
+
+        monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
+        cfg = ScenarioConfig(m=12, n=24, t=40, r_true=3, anomaly_count=4, seed=SeedSpec(3))
+        with pytest.raises(ValueError, match=r"^center must be a bool, got 1$"):
+            sweep_rank(cfg, ["pca", "rbad"], [4], trials=2, center=1)
 
 
 class TestProject:
@@ -627,7 +656,6 @@ class TestDetect:
                 variances=np.array([3.0, 2.0, residual, residual, residual, residual]),
                 rank=2,
                 method="pca",
-                centered=False,
                 mean=np.zeros(6),
             )
             report = detect(model, y)
@@ -744,7 +772,7 @@ def _reference_models(stream):
 def _cumsum_spes(model, y, grid):
     """SPE at each rank of `grid` as a full-height cumsum of the removed
     coordinates gives it: SPE(lo) - cumsum(z[lo:]**2)[r - lo - 1]."""
-    work = y - model.mean[:, None] if model.centered else y
+    work = detectors._without_mean(y, model.mean)
     lo, hi = min(grid), max(grid)
     z = model.basis[:, :hi].T @ work
     spe_lo = np.sum((work - model.basis[:, :lo] @ z[:lo]) ** 2, axis=0)
@@ -829,7 +857,6 @@ class TestDetectRanks:
             variances=np.array([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]),
             rank=1,
             method="pca",
-            centered=False,
             mean=np.zeros(6),
         )
         live, dead = detect_ranks(model, rng.normal(size=(6, 30)), [1, 3])
@@ -872,7 +899,7 @@ class TestDetectRanks:
         rng = np.random.default_rng(44)
         y = rng.normal(2.0, 1.0, size=(14, 50))
         for model in (build_rbad_model(y, 4, SeedSpec(45)), build_pca_model(y, 4)):
-            work = y - model.mean[:, None] if model.centered else y
+            work = detectors._without_mean(y, model.mean)
             p = model.basis[:, :4]
             residual = work - p @ (p.T @ work)
             want = np.sum(residual * residual, axis=0)
@@ -930,10 +957,9 @@ class TestBasisSigns:
                                  detect_ranks(model, traffic, REFERENCE_GRID))
             for got, want in zip(project(flipped, traffic), project(model, traffic), strict=True):
                 np.testing.assert_array_equal(got, want)
-            moments = traffic.moments(model.centered)
+            moments = traffic.moments(model.mean.any())
             ranked = [
-                detectors._ranked_basis_model(basis, moments, model.rank, model.method,
-                                              model.centered)
+                detectors._ranked_basis_model(basis, moments, model.rank, model.method)
                 for basis in (flipped.basis, model.basis)
             ]
             np.testing.assert_array_equal(ranked[0].variances, ranked[1].variances)
@@ -1064,7 +1090,7 @@ class TestInputValidation:
             (lambda: build_pca_model(y, 1), "rank"),
             (lambda: detect_method("rbad", y, [1], SeedSpec(1)), "rank"),
             (lambda: q_threshold(np.ones(1), 1, 0.005), "rank"),
-            (lambda: SubspaceModel(model.basis[:1, :1], model.variances[:1], 1, "pca", True,
+            (lambda: SubspaceModel(model.basis[:1, :1], model.variances[:1], 1, "pca",
                                    model.mean[:1]), "rank"),
             (lambda: sweep_rank(cfg, ["pca"], [1], 1), "rank grid value"),
         ]
@@ -1165,7 +1191,7 @@ class TestEdgeTraffic:
                 continue
             first, again = runs
             for model, reports, repeats in zip(models, first, again):
-                work = y - model.mean[:, None] if model.centered else y
+                work = detectors._without_mean(y, model.mean)
                 energy = np.sum(work * work, axis=0)
                 for report, repeat in zip(reports, repeats):
                     assert (report.spe >= -1e-12 * (1.0 + energy)).all()

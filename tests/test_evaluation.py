@@ -4,6 +4,9 @@ combined detection-rate measure, variance tables, and sweep determinism."""
 import collections
 import dataclasses
 import json
+import subprocess
+import sys
+import textwrap
 import threading
 import warnings
 import weakref
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkanom import detectors, evaluation
+from linkanom import cli, detectors, evaluation
 from linkanom.detectors import DetectionReport, ModelSummary, detect_method
 from linkanom.ensembles import EnsembleKind, SeedSpec
 from linkanom.evaluation import (
@@ -31,14 +34,16 @@ from linkanom.traffic import ScenarioConfig, assemble_scenario, default_anomaly_
 
 SMALL = ScenarioConfig(m=24, n=48, t=90, r_true=6, anomaly_count=10, seed=SeedSpec(5))
 
-# The benchmark's sweeps and rank grid, copied from bench/workloads.py:
+# The benchmark's workloads and rank grid, copied from bench/workloads.py:
 # importing that module would pin the BLAS thread count for the session.
-BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_REFERENCE = BENCH / "reference.json"
 BENCH_SWEEPS = {
     "sweep_ref": ((120, 240, 640), ("pca", "rbad", "sspbad")),
     "sweep_large_rand": ((480, 960, 2560), ("rbad", "sspbad")),
 }
 BENCH_RANKS = (8, 16, 24, 32, 48, 64)
+BENCH_SCENARIO_IO = ((120, 240, 640), 24, ("pca", "rbad", "sspbad"))  # size, rank, methods
 
 
 def _report(flags):
@@ -494,7 +499,7 @@ class TestPoolBlasThreads:
 
 
 class TestBenchmarkReferenceRows:
-    """Streams 0 and 1 of each benchmark sweep score within the
+    """Streams 0 and 1 of each benchmark workload score within the
     benchmark's tolerance of its recorded rows (flag count within
     2 + 0.5%, detection rate within 0.03), so a numerical change that
     flips flags fails here before it fails the benchmark."""
@@ -512,3 +517,54 @@ class TestBenchmarkReferenceRows:
                 where = (stream, row.method, row.rank)
                 assert abs(row.flag_count - flags) <= 2 + 0.005 * flags, where
                 assert abs(row.detection_rate - rate) <= 0.03, where
+
+    @pytest.mark.parametrize("master_seed", [7, 1704])
+    def test_scenario_io_rows_match_reference(self, tmp_path, master_seed):
+        # as the benchmark runs the op: generate, then detect --input with
+        # each method, through the command line and its CSV files
+        reference = json.loads(BENCH_REFERENCE.read_text())["scenario_io"][str(master_seed)]
+        (m, n, t), rank, methods = BENCH_SCENARIO_IO
+        for stream in (0, 1):
+            seed = ["--master-seed", str(master_seed), "--stream-index", str(stream)]
+            scenario = tmp_path / f"scenario-{stream}"
+            assert cli.main(["generate", "--m", str(m), "--n", str(n), "--t", str(t), *seed,
+                             "--output", str(scenario)]) == 0
+            for method, (rate, flags) in zip(methods, reference[str(stream)], strict=True):
+                out = tmp_path / f"detect-{stream}-{method}"
+                assert cli.main(["detect", "--input", str(scenario), "--method", method,
+                                 "--rank", str(rank), *seed, "--output", str(out)]) == 0
+                lines = (out / "report.csv").read_text().splitlines()[1:]
+                counts = collections.Counter(tuple(line.split(",")[3:]) for line in lines)
+                tp, fp, fn = counts["1", "1"], counts["1", "0"], counts["0", "1"]
+                got_flags = tp + fp
+                got_rate = tp / (tp + fn + fp) if tp + fn + fp else 1.0
+                where = (stream, method)
+                assert abs(got_flags - flags) <= 2 + 0.005 * flags, where
+                assert abs(got_rate - rate) <= 0.03, where
+
+
+def test_reference_recorder_runs(tmp_path):
+    """bench/record_reference.py's library calls run: its sweep and
+    scenario rows, on one stream at m = 72 (every benchmark rank fits),
+    in a subprocess that writes no file."""
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        import record_reference, workloads
+        la = workloads.import_package()
+        size = (72, 144, 288)
+        sweep = workloads.Sweep("check", size, workloads.METHODS, trials=1, workers=1, pool=1)
+        io = workloads.ScenarioIO("check", size, rank=24, pool=1)
+        print(json.dumps([record_reference.sweep_rows(la, sweep, 7),
+                          record_reference.scenario_rows(la, io, 7)]))
+    """)
+    done = subprocess.run([sys.executable, "-B", "-c", script, str(BENCH)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    sweep, scenario = json.loads(done.stdout)
+    methods = BENCH_SCENARIO_IO[2]
+    for rows, count in ((sweep, len(methods) * len(BENCH_RANKS)), (scenario, len(methods))):
+        assert list(rows) == ["0"] and len(rows["0"]) == count
+        for rate, flags in rows["0"]:
+            assert 0.0 <= rate <= 1.0 and type(flags) is int and 0 <= flags <= 288
+    assert list(tmp_path.iterdir()) == []
