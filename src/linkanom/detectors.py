@@ -92,6 +92,12 @@ class SubspaceModel:
         if self.variances.shape != (m,) or self.mean.shape != (m,):
             raise ValueError("variances and mean must have one entry per basis row")
         object.__setattr__(self, "rank", _check_rank(self.rank, m))
+        _check_method(self.method)
+        if self.ensemble is not None and not isinstance(self.ensemble, EnsembleKind):
+            raise ValueError(f"ensemble must be an EnsembleKind or None, got {self.ensemble!r}")
+        if self.power_exponent is not None:
+            object.__setattr__(self, "power_exponent",
+                               _check_int("power_exponent", self.power_exponent, 0))
 
     @property
     def m(self) -> int:
@@ -216,16 +222,21 @@ def _traffic(y, m: int | None = None) -> _Traffic:
     return traffic
 
 
-def _ranked_basis_model(
-    basis: np.ndarray,
+def _range_model(
+    b: np.ndarray,
+    steps: int,
     moments: _Moments,
     rank: int,
     method: str,
     ensemble: EnsembleKind | None = None,
     power_exponent: int | None = None,
 ) -> SubspaceModel:
-    """Order basis columns by descending captured variance of the
-    projected traffic, diag(Q^T C Q)."""
+    """The randomized range finder (Halko, Martinsson & Tropp 2011, Alg.
+    4.3/4.4): Q of the QR of S^steps b, S the m x m second moment, columns
+    ordered by descending captured variance of the traffic, diag(Q^T C Q)."""
+    for _ in range(steps):
+        b = moments.second @ b
+    basis, _ = householder_qr(b)
     variances = np.sum(basis * (moments.covariance @ basis), axis=0)
     order = np.argsort(-variances, kind="stable")
     return SubspaceModel(
@@ -278,10 +289,8 @@ def build_rbad_model(
     seed = _check_seed(seed)
     moments = traffic.moments(center)
     b = _without_mean(traffic.y, moments.mean) @ gen_gaussian(t, m, seed, 1.0)
-    for _ in range(power_exponent):
-        b = moments.second @ b
-    q, _ = householder_qr(b)
-    return _ranked_basis_model(q, moments, rank, METHOD_RBAD, power_exponent=power_exponent)
+    return _range_model(b, power_exponent, moments, rank, METHOD_RBAD,
+                        power_exponent=power_exponent)
 
 
 def build_sspbad_candidates(
@@ -304,14 +313,9 @@ def build_sspbad_candidates(
     kinds = _check_kinds(kinds)
     seed = _check_seed(seed)
     moments = traffic.moments(center)
-    models = []
-    for index, kind in enumerate(EnsembleKind):
-        if kind not in kinds:
-            continue
-        t2 = ensemble_matrix(kind, m, m, seed.split(index))
-        q, _ = householder_qr(moments.second @ t2)
-        models.append(_ranked_basis_model(q, moments, rank, METHOD_SSPBAD, ensemble=kind))
-    return models
+    return [_range_model(ensemble_matrix(kind, m, m, seed.split(index)), 1, moments, rank,
+                         METHOD_SSPBAD, ensemble=kind)
+            for index, kind in enumerate(EnsembleKind) if kind in kinds]
 
 
 def project(model: SubspaceModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -61,9 +61,10 @@ def _report() -> DetectionReport:
     return DetectionReport(np.zeros(3), None, np.zeros(3, dtype=bool), summary)
 
 
-def _model(**arrays) -> SubspaceModel:
-    fields = {"basis": np.eye(3), "variances": np.array([3.0, 2.0, 1.0]), "mean": np.zeros(3)}
-    return SubspaceModel(**(fields | arrays), rank=1, method="pca")
+def _model(**fields) -> SubspaceModel:
+    valid = {"basis": np.eye(3), "variances": np.array([3.0, 2.0, 1.0]), "rank": 1,
+             "method": "pca", "mean": np.zeros(3)}
+    return SubspaceModel(**(valid | fields))
 
 
 # (parameter name as the message gives it, expected ndim, call with the bad array)
@@ -204,6 +205,11 @@ PARAMETERS = {
     "build_sspbad_candidates-kinds": ("kinds", [[], [EnsembleKind.GAUSSIAN] * 2, ["gaussian"]],
                                       lambda v: build_sspbad_candidates(_Y, 2, _SEED, v)),
     "build_sspbad_candidates-seed": ("seed", [7, "7"], lambda v: build_sspbad_candidates(_Y, 2, v)),
+    # each was stored as given and came back in detect_ranks' ModelSummary
+    "SubspaceModel-method": ("unknown method", [3, "bogus"], lambda v: _model(method=v)),
+    "SubspaceModel-ensemble": ("ensemble", ["gaussian"], lambda v: _model(ensemble=v)),
+    "SubspaceModel-power_exponent": ("power_exponent", [-3, "2"],
+                                     lambda v: _model(power_exponent=v)),
     "detect_ranks-ranks": ("ranks", [[]], lambda v: detect_ranks(_MODEL, _Y[:3], v)),
     "detect_ranks-rank": ("rank", [0, 3], lambda v: detect_ranks(_MODEL, _Y[:3], [1, v])),
     "detect_ranks-beta": ("beta", [0.0, 1.0, -0.5, 1e-17],
@@ -240,11 +246,15 @@ PARAMETERS = {
 }
 
 
+OPTIONAL_METADATA = {"SubspaceModel-ensemble", "SubspaceModel-power_exponent"}
+
+
 @pytest.mark.parametrize("parameter", PARAMETERS)
 def test_bad_scalars_raise_a_value_error_naming_the_parameter(parameter):
     prefix, out_of_range, call = PARAMETERS[parameter]
     for value in NOT_A_VALUE + out_of_range:
-        if not (value is None and prefix == "kinds"):  # kinds=None is every family
+        # kinds=None is every family; a model may have no ensemble or power steps
+        if not (value is None and (prefix == "kinds" or parameter in OPTIONAL_METADATA)):
             _raises_naming(prefix, call, value)
 
 
@@ -290,6 +300,7 @@ def test_numpy_integers_are_stored_as_python_ints(integer):
     assert all(type(value) is int for value in stored)
     model = build_rbad_model(_Y, integer(2), _SEED, integer(1))
     assert type(model.rank) is int and type(model.power_exponent) is int
+    assert type(_model(power_exponent=integer(3)).power_exponent) is int
     (report,) = detect_ranks(model, _Y, [integer(3)])
     assert type(report.model_summary.rank) is int
     rows, _ = sweep_rank(_config(), ["pca"], [integer(2)], integer(1), workers=integer(1))

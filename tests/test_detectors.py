@@ -959,7 +959,7 @@ class TestBasisSigns:
                 np.testing.assert_array_equal(got, want)
             moments = traffic.moments(model.mean.any())
             ranked = [
-                detectors._ranked_basis_model(basis, moments, model.rank, model.method)
+                detectors._range_model(basis, 0, moments, model.rank, model.method)
                 for basis in (flipped.basis, model.basis)
             ]
             np.testing.assert_array_equal(ranked[0].variances, ranked[1].variances)

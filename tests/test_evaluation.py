@@ -419,6 +419,36 @@ class TestTrialWorkingSet:
         assert got == want
 
 
+class TestSubstreams:
+    """Within a sweep trial and in `variance_compare`, every random
+    component draws once, from its own substream of the trial seed."""
+
+    def test_each_component_draws_its_own_substream_once(self, monkeypatch):
+        paths = []
+        real = SeedSpec.generator
+
+        def generator(seed):
+            paths.append((seed.stream_index, seed.branch))
+            return real(seed)
+
+        trial = 1
+        trial_seed = SeedSpec(SMALL.seed.master_seed, SMALL.seed.stream_index + trial)
+        y = assemble_scenario(dataclasses.replace(SMALL, seed=trial_seed)).y
+        monkeypatch.setattr(SeedSpec, "generator", generator)
+        evaluation._run_trial(SMALL, trial, *TestTrialWorkingSet.ARGS, False)
+        trial_paths = paths[:]
+        paths.clear()
+        variance_compare(y, 4, trial_seed)
+        stream = trial_seed.stream_index
+        # flows, routing, anomalies and noise; rbad; one per sspbad family
+        scenario = {(stream, (i,)) for i in range(4)}
+        detector = {(stream, (4,))} | {(stream, (5, i)) for i in range(len(EnsembleKind))}
+        for drawn in (trial_paths, paths):
+            assert len(drawn) == len(set(drawn))
+        assert set(trial_paths) == scenario | detector
+        assert set(paths) == detector
+
+
 _BLAS_THREADS = evaluation._openblas_threads()
 
 
