@@ -56,9 +56,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
-    items = tuple(item.strip() for item in text.split(",") if item.strip())
-    if not items:
+    items = tuple(item.strip() for item in text.split(","))
+    if not any(items):
         raise ValueError(f"expected at least one comma-separated item, got {text!r}")
+    if not all(items):
+        raise ValueError(f"item {items.index('') + 1} of comma-separated list {text!r} is empty")
     return items
 
 

@@ -84,8 +84,12 @@ class SubspaceModel:
     power_exponent: int | None = None
 
     def __post_init__(self) -> None:
-        for name, ndim in (("basis", 2), ("variances", 1), ("mean", 1)):
-            object.__setattr__(self, name, _as_matrix(getattr(self, name), name, ndim))
+        object.__setattr__(self, "basis", _as_matrix(self.basis, "basis"))
+        # a read-only copy of its own, so the spectrum stays the one checked
+        variances = np.array(_check_spectrum(self.variances))
+        variances.flags.writeable = False
+        object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "mean", _as_matrix(self.mean, "mean", ndim=1))
         m = self.basis.shape[0]
         if self.basis.shape != (m, m):
             raise ValueError(f"basis must be square, got {self.basis.shape}")
@@ -93,11 +97,18 @@ class SubspaceModel:
             raise ValueError("variances and mean must have one entry per basis row")
         object.__setattr__(self, "rank", _check_rank(self.rank, m))
         _check_method(self.method)
-        if self.ensemble is not None and not isinstance(self.ensemble, EnsembleKind):
-            raise ValueError(f"ensemble must be an EnsembleKind or None, got {self.ensemble!r}")
-        if self.power_exponent is not None:
+        # a ModelSummary reports what the model was fitted with: an ensemble
+        # exactly for sspbad, a power exponent exactly for rbad
+        if self.method == METHOD_SSPBAD and not isinstance(self.ensemble, EnsembleKind):
+            raise ValueError(f"ensemble must be an EnsembleKind for sspbad, got {self.ensemble!r}")
+        if self.method != METHOD_SSPBAD and self.ensemble is not None:
+            raise ValueError(f"ensemble must be None for {self.method}, got {self.ensemble!r}")
+        if self.method == METHOD_RBAD:
             object.__setattr__(self, "power_exponent",
                                _check_int("power_exponent", self.power_exponent, 0))
+        elif self.power_exponent is not None:
+            raise ValueError(f"power_exponent must be None for {self.method}, "
+                             f"got {self.power_exponent!r}")
 
     @property
     def m(self) -> int:
@@ -339,6 +350,20 @@ def _without_mean(y: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return y - mean[:, None] if mean.any() else y
 
 
+def _check_spectrum(variances) -> np.ndarray:
+    """The rule for a captured-variance spectrum: the array rule with ndim
+    1, sorted descending and nonnegative, each up to roundoff relative to
+    max(|lambda_1|, 1); returned as the array rule returns it."""
+    variances = _as_matrix(variances, "variances", ndim=1)
+    scale = max(abs(variances[0]), 1.0) if variances.size else 1.0
+    if (variances[1:] - variances[:-1] > 1e-10 * scale).any():
+        raise ValueError("variances must be sorted in descending order")
+    # eigenvalues of a singular covariance (t <= m) come out at -eps*lambda_1
+    if (variances < -1e-12 * scale).any():
+        raise ValueError("variances must be nonnegative up to roundoff (-1e-12 * max(lambda_1, 1))")
+    return variances
+
+
 def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshold:
     """Q-statistic threshold from the residual variance spectrum
     lambda_{rank+1} .. lambda_m.
@@ -355,15 +380,14 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
     DegenerateSpectrumError.
     """
     beta = _check_beta(beta)
-    variances = _as_matrix(variances, "variances", ndim=1)
+    variances = _check_spectrum(variances)
     rank = _check_rank(rank, variances.shape[0])
-    scale = max(abs(variances[0]), 1.0)
-    if (variances[1:] - variances[:-1] > 1e-10 * scale).any():
-        raise ValueError("variances must be sorted in descending order")
-    # eigenvalues of a singular covariance (t <= m) come out at -eps*lambda_1
-    if (variances < -1e-12 * scale).any():
-        raise ValueError("variances must be nonnegative up to roundoff (-1e-12 * max(lambda_1, 1))")
-    residual = np.maximum(variances, 0.0)[rank:]
+    return _q_statistic(np.maximum(variances, 0.0)[rank:], beta)
+
+
+def _q_statistic(residual: np.ndarray, beta: float) -> QThreshold:
+    """The Jackson-Mudholkar threshold (`q_threshold`) of a checked residual
+    spectrum, its roundoff negatives clipped to zero, at a checked beta."""
     theta1 = float(residual.sum())
     theta2 = float((residual**2).sum())
     theta3 = float((residual**3).sum())
@@ -442,11 +466,13 @@ def detect_ranks(
         z[rank - 1] = np.sum(z[first:rank], axis=0)
         spes[rank] = spe_lo - z[rank - 1]
         first = rank - 1
+    # the model checked its spectrum when it was made
+    clipped = np.maximum(model.variances, 0.0)
     reports = []
     for rank in ranks:
         spe = spes[rank]
         try:
-            threshold = q_threshold(model.variances, rank, beta)
+            threshold = _q_statistic(clipped[rank:], beta)
         except DegenerateSpectrumError:
             threshold = None
         flags = np.zeros(spe.shape[0], dtype=bool) if threshold is None else spe > threshold.q_beta

@@ -207,9 +207,10 @@ PARAMETERS = {
     "build_sspbad_candidates-seed": ("seed", [7, "7"], lambda v: build_sspbad_candidates(_Y, 2, v)),
     # each was stored as given and came back in detect_ranks' ModelSummary
     "SubspaceModel-method": ("unknown method", [3, "bogus"], lambda v: _model(method=v)),
-    "SubspaceModel-ensemble": ("ensemble", ["gaussian"], lambda v: _model(ensemble=v)),
+    "SubspaceModel-ensemble": ("ensemble", ["gaussian"],
+                               lambda v: _model(method="sspbad", ensemble=v)),
     "SubspaceModel-power_exponent": ("power_exponent", [-3, "2"],
-                                     lambda v: _model(power_exponent=v)),
+                                     lambda v: _model(method="rbad", power_exponent=v)),
     "detect_ranks-ranks": ("ranks", [[]], lambda v: detect_ranks(_MODEL, _Y[:3], v)),
     "detect_ranks-rank": ("rank", [0, 3], lambda v: detect_ranks(_MODEL, _Y[:3], [1, v])),
     "detect_ranks-beta": ("beta", [0.0, 1.0, -0.5, 1e-17],
@@ -246,16 +247,51 @@ PARAMETERS = {
 }
 
 
-OPTIONAL_METADATA = {"SubspaceModel-ensemble", "SubspaceModel-power_exponent"}
-
-
 @pytest.mark.parametrize("parameter", PARAMETERS)
 def test_bad_scalars_raise_a_value_error_naming_the_parameter(parameter):
     prefix, out_of_range, call = PARAMETERS[parameter]
     for value in NOT_A_VALUE + out_of_range:
-        # kinds=None is every family; a model may have no ensemble or power steps
-        if not (value is None and (prefix == "kinds" or parameter in OPTIONAL_METADATA)):
+        if not (value is None and prefix == "kinds"):  # kinds=None is every family
             _raises_naming(prefix, call, value)
+
+
+# a model whose spectrum or metadata contradicts itself: each was built, and
+# the metadata came back in detect_ranks' ModelSummary
+BAD_MODELS = {
+    "unsorted-variances": ("variances", dict(variances=[1.0, 2.0, 3.0])),
+    "negative-variances": ("variances", dict(variances=[3.0, 2.0, -1e-9])),
+    "pca-with-ensemble": ("ensemble", dict(ensemble=EnsembleKind.GAUSSIAN)),
+    "rbad-with-ensemble": ("ensemble", dict(method="rbad", power_exponent=2,
+                                            ensemble=EnsembleKind.MARKOV)),
+    "sspbad-without-ensemble": ("ensemble", dict(method="sspbad")),
+    "rbad-without-power_exponent": ("power_exponent", dict(method="rbad")),
+    "pca-with-power_exponent": ("power_exponent", dict(power_exponent=2)),
+    "sspbad-with-power_exponent": ("power_exponent", dict(method="sspbad", power_exponent=0,
+                                                          ensemble=EnsembleKind.RADEMACHER)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MODELS)
+def test_bad_models_raise_a_value_error_naming_the_field(case):
+    prefix, fields = BAD_MODELS[case]
+    _raises_naming(prefix, lambda: _model(**fields))
+
+
+def test_model_keeps_a_read_only_copy_of_its_spectrum():
+    given_ = np.array([3.0, 2.0, 1.0])
+    model = _model(variances=given_)
+    given_[:] = [1.0, 2.0, 3.0]
+    np.testing.assert_array_equal(model.variances, [3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="read-only"):
+        model.variances[0] = -1.0
+    # roundoff below zero, or out of order, is kept as given
+    assert _model(variances=[3.0, 3.0 + 1e-11, -1e-13]).variances[2] == -1e-13
+
+
+def test_an_empty_spectrum_is_named_by_its_rank():
+    # the spectrum rule reads lambda_1 only when there is one
+    _raises_naming("rank", q_threshold, [], 1, 0.01)
+    _raises_naming("rank", lambda: SubspaceModel(np.zeros((0, 0)), [], 1, "pca", []))
 
 
 # a switch takes a bool or numpy bool only: any truthy value used to center
@@ -300,7 +336,7 @@ def test_numpy_integers_are_stored_as_python_ints(integer):
     assert all(type(value) is int for value in stored)
     model = build_rbad_model(_Y, integer(2), _SEED, integer(1))
     assert type(model.rank) is int and type(model.power_exponent) is int
-    assert type(_model(power_exponent=integer(3)).power_exponent) is int
+    assert type(_model(method="rbad", power_exponent=integer(3)).power_exponent) is int
     (report,) = detect_ranks(model, _Y, [integer(3)])
     assert type(report.model_summary.rank) is int
     rows, _ = sweep_rank(_config(), ["pca"], [integer(2)], integer(1), workers=integer(1))
@@ -326,9 +362,9 @@ _SMALL_ARGV = ["--m", "12", "--n", "24", "--t", "40", "--r-true", "3", "--anomal
 BAD_TEXT = {
     int: ["x", "2.5", "-1"],
     float: ["x", "nan", "inf", "-1"],
-    cli._parse_str_list: ["", "bogus"],
-    cli._parse_int_list: ["8,x", "", "-1"],
-    cli._parse_kinds: ["bogus", ",", "gaussian,gaussian"],
+    cli._parse_str_list: ["", "bogus", "pca,"],
+    cli._parse_int_list: ["8,x", "", "-1", "2,,3"],  # 2 and 3 are in range at m = 12
+    cli._parse_kinds: ["bogus", ",", "gaussian,gaussian", "gaussian,,markov"],
     cli._parse_bool: ["maybe"],
     cli._parse_path: ["{tmp}/missing"],
 }

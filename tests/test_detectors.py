@@ -11,6 +11,7 @@ import sys
 import weakref
 from fractions import Fraction
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -850,6 +851,26 @@ class TestDetectRanks:
                 for rank, report in zip(REFERENCE_GRID, reports):
                     assert report.threshold == q_threshold(model.variances, rank, beta)
 
+    def test_spectrum_is_checked_once_per_model(self):
+        # a model checks its spectrum when it is made; detection trusts it
+        with (mock.patch.object(detectors, "_check_spectrum",
+                                wraps=detectors._check_spectrum) as spectrum_rule,
+              mock.patch.object(detectors, "q_threshold") as public):
+            sweep_rank(ScenarioConfig(seed=SeedSpec(605)), ["pca", "rbad", "sspbad"],
+                       REFERENCE_GRID, 1)
+        assert spectrum_rule.call_count == 6  # pca, rbad and the four sspbad candidates
+        assert public.call_count == 0
+
+    def test_rank_loop_reads_no_array(self):
+        sc, models = _reference_models(0)
+        for grid in ([8], REFERENCE_GRID):
+            with (mock.patch.object(detectors, "_as_matrix", wraps=detectors._as_matrix) as read,
+                  mock.patch.object(detectors, "_check_spectrum") as spectrum_rule,
+                  mock.patch.object(detectors, "q_threshold") as public):
+                detect_ranks(models[0], sc.y, grid)
+            assert read.call_count == 1  # the traffic, whatever the grid
+            assert spectrum_rule.call_count == public.call_count == 0
+
     def test_degenerate_rank_gives_no_threshold(self):
         rng = np.random.default_rng(43)
         model = SubspaceModel(
@@ -959,7 +980,8 @@ class TestBasisSigns:
                 np.testing.assert_array_equal(got, want)
             moments = traffic.moments(model.mean.any())
             ranked = [
-                detectors._range_model(basis, 0, moments, model.rank, model.method)
+                detectors._range_model(basis, 0, moments, model.rank, model.method,
+                                       model.ensemble, model.power_exponent)
                 for basis in (flipped.basis, model.basis)
             ]
             np.testing.assert_array_equal(ranked[0].variances, ranked[1].variances)
