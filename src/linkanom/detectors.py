@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,16 +210,27 @@ class _Traffic:
         if self._reduced is None:
             if t < 2:
                 raise ValueError(f"need at least 2 snapshots to estimate a covariance, got {t}")
-            mu = self.y.mean(axis=1)
-            centered = self.y - mu[:, None]
-            self._reduced = mu, centered @ centered.T / (t - 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu = self.y.mean(axis=1)
+                centered = self.y - mu[:, None]
+                # an overflowed mean leaves inf or NaN in the covariance too
+                self._reduced = mu, _finite(centered @ centered.T / (t - 1), "covariance")
         mu, covariance = self._reduced
         if center:
             return _Moments(mu, covariance, covariance)
         # C + t/(t-1) mu mu^T; never the uncentered Gram minus the mean term,
         # which cancels badly when the means dominate
-        second = covariance + (t / (t - 1)) * np.outer(mu, mu)
-        return _Moments(np.zeros(m), covariance, second)
+        with np.errstate(over="ignore", invalid="ignore"):
+            second = covariance + (t / (t - 1)) * np.outer(mu, mu)
+        return _Moments(np.zeros(m), covariance, _finite(second, "second moment"))
+
+
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    """`values`, a reduction or product of finite traffic; a ValueError
+    when it overflowed float64."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"traffic y is too large: its {name} overflows float64")
+    return values
 
 
 def _traffic(y, m: int | None = None) -> _Traffic:
@@ -245,10 +256,11 @@ def _range_model(
     """The randomized range finder (Halko, Martinsson & Tropp 2011, Alg.
     4.3/4.4): Q of the QR of S^steps b, S the m x m second moment, columns
     ordered by descending captured variance of the traffic, diag(Q^T C Q)."""
-    for _ in range(steps):
-        b = moments.second @ b
-    basis, _ = householder_qr(b)
-    variances = np.sum(basis * (moments.covariance @ basis), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            b = moments.second @ b
+        basis, _ = householder_qr(_finite(b, "power-step block"))
+        variances = np.sum(basis * (moments.covariance @ basis), axis=0)
     order = np.argsort(-variances, kind="stable")
     return SubspaceModel(
         basis=basis[:, order],
@@ -310,13 +322,15 @@ def build_sspbad_candidates(
     seed: SeedSpec,
     kinds: Iterable[EnsembleKind] | None = None,
     center: bool = False,
-) -> list[SubspaceModel]:
+) -> Iterator[SubspaceModel]:
     """One candidate basis per ensemble family: draw T2 (m x m), take
     Y Y^T T2 (a single power-iteration step on the sketch, through the
     m x m second moment Y Y^T / (t-1)), and orthonormalize by QR.
 
-    Candidates come back in the fixed family order regardless of the order
-    of `kinds`; each family draws from its own substream of `seed`.
+    Every argument is checked and the traffic reduced before this returns;
+    each candidate is then built only as it is read. Candidates come in
+    the fixed family order regardless of the order of `kinds`; each family
+    draws from its own substream of `seed`.
     """
     traffic = _traffic(y)
     m = traffic.y.shape[0]
@@ -324,9 +338,9 @@ def build_sspbad_candidates(
     kinds = _check_kinds(kinds)
     seed = _check_seed(seed)
     moments = traffic.moments(center)
-    return [_range_model(ensemble_matrix(kind, m, m, seed.split(index)), 1, moments, rank,
+    return (_range_model(ensemble_matrix(kind, m, m, seed.split(index)), 1, moments, rank,
                          METHOD_SSPBAD, ensemble=kind)
-            for index, kind in enumerate(EnsembleKind) if kind in kinds]
+            for index, kind in enumerate(EnsembleKind) if kind in kinds)
 
 
 def project(model: SubspaceModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,9 +353,10 @@ def project(model: SubspaceModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     y = _traffic(y, model.m).y
     p = model.basis[:, : model.rank]
-    work = _without_mean(y, model.mean)
-    y_tilde = work - p @ (p.T @ work)
-    y_hat = y - y_tilde
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = _without_mean(y, model.mean)
+        y_tilde = _finite(work - p @ (p.T @ work), "residual")
+        y_hat = _finite(y - y_tilde, "modeled part")
     return y_hat, y_tilde
 
 
@@ -388,14 +403,19 @@ def q_threshold(variances: Sequence[float], rank: int, beta: float) -> QThreshol
 def _q_statistic(residual: np.ndarray, beta: float) -> QThreshold:
     """The Jackson-Mudholkar threshold (`q_threshold`) of a checked residual
     spectrum, its roundoff negatives clipped to zero, at a checked beta."""
-    theta1 = float(residual.sum())
-    theta2 = float((residual**2).sum())
-    theta3 = float((residual**3).sum())
-    if theta2**2 == 0.0:  # also for theta2 ~ 1e-160, whose square (h0's denominator) underflows
+    with np.errstate(over="ignore"):  # an overflowed theta is inf, caught below
+        theta1 = float(residual.sum())
+        theta2 = float((residual**2).sum())
+        theta3 = float((residual**3).sum())
+    try:
+        square = theta2**2
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        square = math.inf
+    if square == 0.0:  # also for theta2 ~ 1e-160, whose square (h0's denominator) underflows
         raise DegenerateSpectrumError("degenerate residual spectrum: no residual variance")
-    h0 = 1.0 - 2.0 * theta1 * theta3 / (3.0 * theta2**2)
+    h0 = 1.0 - 2.0 * theta1 * theta3 / (3.0 * square)
     # Cauchy-Schwarz (theta2^2 <= theta1*theta3) bounds h0 by 1/3; a larger
-    # or NaN h0 means the thetas overflowed
+    # or NaN h0 means the thetas or theta2^2 overflowed
     if not h0 <= 1.0 / 3.0 + 1e-9:
         raise DegenerateSpectrumError(
             f"degenerate residual spectrum: h0 = {h0!r} breaks the Cauchy-Schwarz bound 1/3"
@@ -451,21 +471,25 @@ def detect_ranks(
     y = _traffic(y, model.m).y
     ranks = [_check_rank(rank, model.m) for rank in _check_items("ranks", ranks)]
     lo, hi = min(ranks), max(ranks)
-    work = _without_mean(y, model.mean)
-    z = model.basis[:, :hi].T @ work
-    # the rank-lo residual, then its squares, in one m x t buffer
-    residual = model.basis[:, :lo] @ z[:lo]
-    np.subtract(work, residual, out=residual)
-    spe_lo = np.sum(np.square(residual, out=residual), axis=0)
-    # z[:lo] has served the residual, so z[lo:] is squared in place. Row
-    # r - 1 then takes the sum up to rank r, and the next segment's sum
-    # starts from it: numpy sums down axis 0 row by row, as a cumsum adds
-    np.square(z[lo:], out=z[lo:])
-    spes, first = {lo: spe_lo}, lo
-    for rank in sorted(set(ranks) - {lo}):
-        z[rank - 1] = np.sum(z[first:rank], axis=0)
-        spes[rank] = spe_lo - z[rank - 1]
-        first = rank - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = _without_mean(y, model.mean)
+        z = model.basis[:, :hi].T @ work
+        # the rank-lo residual, then its squares, in one m x t buffer
+        residual = model.basis[:, :lo] @ z[:lo]
+        np.subtract(work, residual, out=residual)
+        spe_lo = np.sum(np.square(residual, out=residual), axis=0)
+        # z[:lo] has served the residual, so z[lo:] is squared in place. Row
+        # r - 1 then takes the sum up to rank r, and the next segment's sum
+        # starts from it: numpy sums down axis 0 row by row, as a cumsum adds
+        np.square(z[lo:], out=z[lo:])
+        spes, first = {lo: spe_lo}, lo
+        for rank in sorted(set(ranks) - {lo}):
+            z[rank - 1] = np.sum(z[first:rank], axis=0)
+            spes[rank] = spe_lo - z[rank - 1]
+            first = rank - 1
+    # SPE(hi) is SPE(lo) less every squared coordinate, so an overflow
+    # anywhere above leaves inf or NaN in it
+    _finite(spes[hi], "residual energy (SPE)")
     # the model checked its spectrum when it was made
     clipped = np.maximum(model.variances, 0.0)
     reports = []
@@ -490,17 +514,9 @@ def sspbad_select(reports: Sequence[DetectionReport]) -> DetectionReport:
     return reports[counts.index(max(counts))]
 
 
-def sspbad_detect(
-    y: np.ndarray,
-    rank: int,
-    seed: SeedSpec,
-    kinds: Iterable[EnsembleKind] | None = None,
-    beta: float = DEFAULT_BETA,
-    center: bool = False,
-) -> DetectionReport:
-    """Build all candidate bases, run detection with each, return the
-    selected report."""
-    return detect_method(METHOD_SSPBAD, y, [rank], seed, beta=beta, kinds=kinds, center=center)[0]
+def sspbad_detect(y: np.ndarray, rank: int, seed: SeedSpec) -> DetectionReport:
+    """`detect_method("sspbad", y, [rank], seed)`'s one report."""
+    return detect_method(METHOD_SSPBAD, y, [rank], seed)[0]
 
 
 def detect_method(
@@ -532,9 +548,8 @@ def detect_method(
         models = [build_pca_model(traffic, ranks[0])]
     elif method == METHOD_RBAD:
         models = [build_rbad_model(traffic, ranks[0], seed, power_exponent, center)]
-    else:  # one candidate basis at a time, each dropped once detected
-        models = (build_sspbad_candidates(traffic, ranks[0], seed, [kind], center)[0]
-                  for kind in kinds)
+    else:  # built one at a time, each dropped once detected
+        models = build_sspbad_candidates(traffic, ranks[0], seed, kinds, center)
     # unlike a loop variable, map holds no model while the next one is built
     per_model = list(map(functools.partial(detect_ranks, y=traffic, ranks=ranks, beta=beta),
                          models))

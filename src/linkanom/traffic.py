@@ -70,12 +70,11 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class Scenario:
     """Generated matrices plus per-snapshot ground-truth labels (True
-    where a column of a has a nonzero).
+    where a column of A has a nonzero).
 
-    The flows and anomalies are kept as their draws: x = u @ w.T, and a
-    has anomaly_values at the flat (row-major) anomaly_positions of the
-    n x t grid. x and a are formed only when read, so a scenario holds
-    no n x t array.
+    The flows and anomalies are kept as their draws, so a scenario holds
+    no n x t array: X = u @ w.T, and A has anomaly_values at the flat
+    (row-major) anomaly_positions of the n x t grid.
     """
 
     y: np.ndarray
@@ -87,16 +86,6 @@ class Scenario:
     v: np.ndarray
     labels: np.ndarray
     config: ScenarioConfig
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.u @ self.w.T
-
-    @property
-    def a(self) -> np.ndarray:
-        a = np.zeros(self.config.n * self.config.t)
-        a[self.anomaly_positions] = self.anomaly_values
-        return a.reshape(self.config.n, self.config.t)
 
 
 def _entry_labels(t: int, positions: np.ndarray) -> np.ndarray:

@@ -62,7 +62,7 @@ def test_criterion_1_exact_range_capture():
         elapsed = time.perf_counter() - start
         results[f"rbad(q={q_exp})"] = (np.linalg.norm(y_tilde) / y_norm, elapsed)
     start = time.perf_counter()
-    candidates = build_sspbad_candidates(sc.y, 24, SeedSpec(101).split(20))
+    candidates = list(build_sspbad_candidates(sc.y, 24, SeedSpec(101).split(20)))
     per_kind_start = time.perf_counter() - start
     for model in candidates:
         start = time.perf_counter()
@@ -185,7 +185,7 @@ def test_criterion_5_projector_algebra():
     models = [
         build_pca_model(y, 12),
         build_rbad_model(y, 12, seed.split(0)),
-        build_sspbad_candidates(y, 12, seed.split(1), [EnsembleKind.GAUSSIAN])[0],
+        *build_sspbad_candidates(y, 12, seed.split(1), [EnsembleKind.GAUSSIAN]),
     ]
     worst = 0.0
     for model in models:

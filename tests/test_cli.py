@@ -11,7 +11,7 @@ import pytest
 
 from linkanom import cli, storage
 from linkanom.cli import main
-from linkanom.ensembles import EnsembleKind
+from linkanom.ensembles import EnsembleKind, SeedSpec
 from linkanom.storage import read_config_file, read_matrix_csv
 
 SMALL_ARGS = [
@@ -479,3 +479,29 @@ class TestParser:
             proc = run_cli([*argv, "--output", str(fresh)])
             assert proc.returncode == 0, proc.stderr
             assert echo_without_output(here) == echo_without_output(fresh)
+
+
+class TestSubstreams:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: detect hands sspbad the scenario's own seed, and candidate i "
+        "draws from its branch (i,), the scenario's flows, routing, anomalies and noise"))
+    def test_detect_draws_from_no_scenario_substream(self, tmp_path, monkeypatch):
+        paths, real = {}, SeedSpec.generator
+
+        def generator(seed):
+            paths[run].add((seed.stream_index, seed.branch))
+            return real(seed)
+
+        monkeypatch.setattr(SeedSpec, "generator", generator)
+        seed_args = ["--master-seed", "7", "--stream-index", "2"]
+        run = "generate"
+        paths[run] = set()
+        assert main(["generate", "--m", "12", "--n", "24", "--t", "40", "--anomaly-count", "3",
+                     *seed_args, "--output", str(tmp_path / "scen")]) == 0
+        assert len(paths["generate"]) == 4
+        for run in ("pca", "rbad", "sspbad"):
+            paths[run] = set()
+            assert main(["detect", "--input", str(tmp_path / "scen"), "--method", run, "--rank", "3",
+                         *seed_args, "--output", str(tmp_path / run)]) == 0
+        assert {run: paths[run] & paths["generate"] for run in ("pca", "rbad", "sspbad")} == {
+            "pca": set(), "rbad": set(), "sspbad": set()}

@@ -284,15 +284,13 @@ class TestScenarioDir:
         # X = U W^T bit for bit; with r_true = 0 each file holds one zero column
         u, w = read_matrix_csv(scen / "U.csv"), read_matrix_csv(scen / "W.csv")
         assert u.shape == (20, max(r_true, 1)) and w.shape == (30, max(r_true, 1))
-        np.testing.assert_array_equal(u @ w.T, scenario.x)
+        np.testing.assert_array_equal(u @ w.T, scenario.u @ scenario.w.T)
         lines = (scen / "anomalies.csv").read_text().splitlines()
         assert lines[0] == "flow,snapshot,value"
         rows = [line.split(",") for line in lines[1:]]
         flows, snapshots = (np.array([int(row[i]) for row in rows]) for i in (0, 1))
         np.testing.assert_array_equal(flows * 30 + snapshots, scenario.anomaly_positions)
-        a = np.zeros((20, 30))
-        a[flows, snapshots] = [float(row[2]) for row in rows]
-        np.testing.assert_array_equal(a, scenario.a)
+        np.testing.assert_array_equal([float(row[2]) for row in rows], scenario.anomaly_values)
 
     def test_no_anomalies_write_a_header_only_table(self, tmp_path):
         cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=0, seed=SeedSpec(1))

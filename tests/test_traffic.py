@@ -37,22 +37,31 @@ def gram_rank(x, rel_tol=1e-10):
     return int(np.sum(lam > rel_tol * lam[0]))
 
 
+def dense_x_a(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The n x t flows X = U W^T and anomalies A, formed from the scenario's
+    draws (A has the anomaly values at the flat anomaly positions)."""
+    n, t = sc.config.n, sc.config.t
+    a = np.zeros(n * t)
+    a[sc.anomaly_positions] = sc.anomaly_values
+    return sc.u @ sc.w.T, a.reshape(n, t)
+
+
 class TestGenFlows:
     """The flows X = U W^T of an assembled scenario."""
 
     def test_zero_rank_gives_zero_matrix(self):
         sc = assemble_scenario(ScenarioConfig(m=5, n=10, t=12, r_true=0, anomaly_count=0, seed=SEED))
-        np.testing.assert_array_equal(sc.x, np.zeros((10, 12)))
+        np.testing.assert_array_equal(dense_x_a(sc)[0], np.zeros((10, 12)))
 
     def test_numerical_rank_equals_r_true(self):
         sc = assemble_scenario(ScenarioConfig(m=5, n=30, t=40, r_true=7, anomaly_count=0, seed=SEED))
-        assert gram_rank(sc.x) == 7
+        assert gram_rank(dense_x_a(sc)[0]) == 7
 
     def test_energy_concentrates_at_r_true(self):
         # E||X||_F^2 = n*t*r*(1/n)*(1/t) = r; 20-seed mean lands within
         # 5 sigma of 24 (per-draw std ~0.54 measured by Monte-Carlo pilot)
         energies = [
-            float(np.sum(assemble_scenario(ScenarioConfig(seed=SeedSpec(1234, s))).x ** 2))
+            float(np.sum(dense_x_a(assemble_scenario(ScenarioConfig(seed=SeedSpec(1234, s))))[0] ** 2))
             for s in range(20)
         ]
         assert 23.4 <= np.mean(energies) <= 24.6
@@ -67,25 +76,25 @@ class TestGenAnomalies:
 
     def test_zero_count(self):
         sc = assemble_scenario(ScenarioConfig(m=5, n=8, t=9, r_true=2, anomaly_count=0, seed=SEED))
-        assert not sc.a.any()
+        assert not dense_x_a(sc)[1].any()
         assert not sc.labels.any()
 
     def test_reference_count_is_exact(self):
         # density 0.001 of the 120x640 grid, rounded: 77 nonzeros
         assert default_anomaly_count(120, 640) == 77
-        a = assemble_scenario(ScenarioConfig(seed=SEED)).a
+        a = dense_x_a(assemble_scenario(ScenarioConfig(seed=SEED)))[1]
         assert np.count_nonzero(a) == 77
         assert set(np.unique(a[a != 0.0])) <= {-1.0, 1.0}
 
     def test_label_count_bounded_by_pigeonhole(self):
         sc = assemble_scenario(ScenarioConfig(seed=SEED))
         assert sc.labels.sum() <= 77
-        columns_hit = np.unique(np.nonzero(sc.a)[1])
+        columns_hit = np.unique(np.nonzero(dense_x_a(sc)[1])[1])
         assert sc.labels.sum() == columns_hit.shape[0]
 
     def test_labels_exact_when_columns_distinct(self):
         sc = assemble_scenario(ScenarioConfig(m=10, n=50, t=400, anomaly_count=5, seed=SeedSpec(3)))
-        if np.unique(np.nonzero(sc.a)[1]).shape[0] == 5:
+        if np.unique(np.nonzero(dense_x_a(sc)[1])[1]).shape[0] == 5:
             assert sc.labels.sum() == 5
 
     def test_count_too_large_rejected(self):
@@ -96,7 +105,7 @@ class TestGenAnomalies:
         cfg = ScenarioConfig(m=10, n=20, t=30, r_true=3, anomaly_count=8, seed=SEED)
         sc = assemble_scenario(cfg)
         rng = np.random.default_rng(0)
-        zeros = np.flatnonzero(sc.a == 0.0)
+        zeros = np.flatnonzero(dense_x_a(sc)[1] == 0.0)
         for flat in zeros[rng.choice(zeros.shape[0], size=25, replace=False)]:
             new_labels = _entry_labels(cfg.t, np.append(sc.anomaly_positions, flat))
             changed = np.flatnonzero(new_labels != sc.labels)
@@ -117,19 +126,19 @@ class TestAssembleScenario:
         sc = assemble_scenario(ScenarioConfig(seed=SeedSpec(1)))
         assert sc.y.shape == (120, 640)
         assert sc.routing.shape == (120, 240)
-        assert sc.a.shape == (240, 640)
+        assert dense_x_a(sc)[1].shape == (240, 640)
         assert sc.labels.shape == (640,)
 
     def test_reassembly_is_exact(self):
         sc = assemble_scenario(SMALL)
-        want = (sc.routing @ sc.u) @ sc.w.T + sc.routing @ sc.a + sc.v
+        want = (sc.routing @ sc.u) @ sc.w.T + sc.routing @ dense_x_a(sc)[1] + sc.v
         assert np.linalg.norm(sc.y - want) == 0.0
 
     def test_noiseless_reassembly_with_anomalies_is_exact(self):
         sc = assemble_scenario(dataclasses.replace(SMALL, noise_variance=0.0))
         # V is drawn by gen_gaussian at stddev 0: +0.0 everywhere, as np.zeros
         assert sc.labels.any() and not sc.v.any() and not np.signbit(sc.v).any()
-        want = (sc.routing @ sc.u) @ sc.w.T + sc.routing @ sc.a + sc.v
+        want = (sc.routing @ sc.u) @ sc.w.T + sc.routing @ dense_x_a(sc)[1] + sc.v
         np.testing.assert_array_equal(sc.y, want)
         assert not np.signbit(sc.y[sc.y == 0.0]).any()  # -0.0 + 0.0 is +0.0, as before
 
@@ -144,9 +153,9 @@ class TestAssembleScenario:
         rng = cfg.seed.split(_ANOMALIES).generator()
         positions = rng.choice(cfg.n * cfg.t, size=cfg.anomaly_count, replace=False)
         values = rng.integers(0, 2, size=cfg.anomaly_count) * 2.0 - 1.0
-        labels = np.any(sc.a != 0.0, axis=0)
+        labels = np.any(dense_x_a(sc)[1] != 0.0, axis=0)
         for got, want in ((sc.u, u), (sc.w, w), (sc.anomaly_positions, positions),
-                          (sc.anomaly_values, values), (sc.x, sc.u @ sc.w.T), (sc.labels, labels)):
+                          (sc.anomaly_values, values), (sc.labels, labels)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_assembly_allocates_no_flow_sized_array(self):
@@ -163,20 +172,20 @@ class TestAssembleScenario:
 
     def test_labels_match_anomaly_columns(self):
         sc = assemble_scenario(SMALL)
-        np.testing.assert_array_equal(sc.labels, np.any(sc.a != 0.0, axis=0))
+        np.testing.assert_array_equal(sc.labels, np.any(dense_x_a(sc)[1] != 0.0, axis=0))
 
     def test_deterministic(self):
         a = assemble_scenario(SMALL)
         b = assemble_scenario(SMALL)
-        for field in ("y", "routing", "x", "a", "v"):
+        for field in ("y", "routing", "u", "w", "anomaly_positions", "anomaly_values", "v", "labels"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_seed_isolation_noise_variance(self):
         # changing sigma^2 must not change X, A, or R (disjoint substreams)
         base = assemble_scenario(SMALL)
         noisier = assemble_scenario(dataclasses.replace(SMALL, noise_variance=0.7))
-        np.testing.assert_array_equal(base.x, noisier.x)
-        np.testing.assert_array_equal(base.a, noisier.a)
+        for got, want in zip(dense_x_a(base), dense_x_a(noisier)):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(base.routing, noisier.routing)
         assert not np.array_equal(base.v, noisier.v)
 
