@@ -28,7 +28,7 @@ from .detectors import (
     METHODS,
     detect_method,
 )
-from .ensembles import EnsembleKind, SeedSpec
+from .ensembles import SeedSpec
 from .evaluation import sweep_rank, variance_compare
 from .storage import (
     _all_or_none,
@@ -68,10 +68,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(item) for item in _parse_str_list(text))
 
 
-def _parse_kinds(text: str) -> tuple[EnsembleKind, ...]:
-    return tuple(EnsembleKind.from_tag(tag) for tag in _parse_str_list(text))
-
-
 def _parse_path(text: str) -> str:
     """`text` as a path the OS can name. Text the locale cannot encode (a
     config file is UTF-8, while an ASCII locale hands paths over as bytes)
@@ -107,7 +103,6 @@ _FIELDS = [
     _Field("rank", int, 24, "normal-subspace rank"),
     _Field("power_exponent", int, DEFAULT_POWER_EXPONENT, "power-iteration exponent for rbad"),
     _Field("beta", float, DEFAULT_BETA, "Q-statistic false-alarm level"),
-    _Field("ensembles", _parse_kinds, tuple(EnsembleKind), "sspbad ensemble tags, comma-separated"),
     _Field("rank_grid", _parse_int_list, DEFAULT_RANK_GRID, "ranks to sweep, comma-separated"),
     _Field("trials", int, 20, "number of sweep trials"),
     _Field("workers", int, 1, "parallel trial workers"),
@@ -176,8 +171,6 @@ def _echo_value(value: Any) -> str:
         return repr(value)
     if isinstance(value, tuple):
         return ",".join(_echo_value(item) for item in value)
-    if isinstance(value, EnsembleKind):
-        return value.value
     return str(value)
 
 
@@ -221,8 +214,7 @@ def _cmd_detect(cfg: Mapping[str, Any], out: Path) -> None:
     y, labels = _load_traffic(cfg, need_labels=True)
     seed = SeedSpec(cfg["master_seed"], cfg["stream_index"])
     (report,) = detect_method(method, y, [cfg["rank"]], seed, beta=cfg["beta"],
-                              power_exponent=cfg["power_exponent"],
-                              kinds=cfg["ensembles"], center=cfg["center"])
+                              power_exponent=cfg["power_exponent"], center=cfg["center"])
     q_beta = report.threshold.q_beta if report.threshold is not None else float("nan")
     columns = zip(report.spe.tolist(), report.flags.tolist(), labels.tolist())
     rows = [(j, spe, q_beta, int(flag), int(label)) for j, (spe, flag, label) in enumerate(columns)]
@@ -243,7 +235,6 @@ def _cmd_sweep(cfg: Mapping[str, Any], out: Path) -> None:
         cfg["trials"],
         beta=cfg["beta"],
         power_exponent=cfg["power_exponent"],
-        kinds=cfg["ensembles"],
         center=cfg["center"],
         workers=cfg["workers"],
     )
@@ -261,7 +252,7 @@ def _cmd_sweep(cfg: Mapping[str, Any], out: Path) -> None:
 def _cmd_variances(cfg: Mapping[str, Any], out: Path) -> None:
     y, _ = _load_traffic(cfg, need_labels=False)
     seed = SeedSpec(cfg["master_seed"], cfg["stream_index"])
-    table = variance_compare(y, cfg["rank"], seed, cfg["power_exponent"], cfg["ensembles"])
+    table = variance_compare(y, cfg["rank"], seed, cfg["power_exponent"])
     rows = [(i, *row) for i, row in enumerate(table.variances.tolist())]
     write_table(("index", *table.methods), rows, out / "variances.csv")
     worst = max(table.top_rank_deviation.items(), key=lambda item: item[1])
@@ -285,15 +276,15 @@ _SUBCOMMANDS = {
                             (*_SCENARIO_FIELDS, "output")),
     "detect": _Subcommand(_cmd_detect, "flag anomalous snapshots in a scenario",
                           ("input", "y", "labels", "method", "rank", "power_exponent", "beta",
-                           "ensembles", "center", "master_seed", "stream_index", "output"),
+                           "center", "master_seed", "stream_index", "output"),
                           {"method": (METHOD_PCA,)}),
     "sweep": _Subcommand(_cmd_sweep, "detection rate vs. normal-subspace rank over many trials",
                          (*_SCENARIO_FIELDS, "method", "rank_grid", "trials", "beta",
-                          "power_exponent", "ensembles", "center", "workers", "output"),
+                          "power_exponent", "center", "workers", "output"),
                          {"method": METHODS}),
     "variances": _Subcommand(_cmd_variances,
                              "captured-variance table for all methods on one scenario",
-                             ("input", "y", "rank", "power_exponent", "ensembles", "master_seed",
+                             ("input", "y", "rank", "power_exponent", "master_seed",
                               "stream_index", "output")),
 }
 

@@ -174,18 +174,6 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_kinds(kinds: Iterable[EnsembleKind] | None) -> tuple[EnsembleKind, ...]:
-    """The families `kinds` names (all when None), in the fixed family
-    order; ValueError for an empty set, a non-member or a repeat."""
-    kinds = list(EnsembleKind) if kinds is None else _check_items("kinds", kinds)
-    for i, kind in enumerate(kinds):
-        if not isinstance(kind, EnsembleKind):
-            raise ValueError(f"kinds item {kind!r} is no EnsembleKind; see EnsembleKind.from_tag")
-        if kind in kinds[:i]:
-            raise ValueError(f"kinds repeat ensemble kind {kind.value!r}")
-    return tuple(kind for kind in EnsembleKind if kind in kinds)
-
-
 class _Moments(NamedTuple):
     """The traffic's second moment, which every model is built from."""
 
@@ -320,27 +308,24 @@ def build_sspbad_candidates(
     y: np.ndarray,
     rank: int,
     seed: SeedSpec,
-    kinds: Iterable[EnsembleKind] | None = None,
     center: bool = False,
 ) -> Iterator[SubspaceModel]:
-    """One candidate basis per ensemble family: draw T2 (m x m), take
-    Y Y^T T2 (a single power-iteration step on the sketch, through the
-    m x m second moment Y Y^T / (t-1)), and orthonormalize by QR.
+    """One candidate basis for each of the four ensemble families: draw T2
+    (m x m), take Y Y^T T2 (a single power-iteration step on the sketch,
+    through the m x m second moment Y Y^T / (t-1)), and orthonormalize by QR.
 
     Every argument is checked and the traffic reduced before this returns;
     each candidate is then built only as it is read. Candidates come in
-    the fixed family order regardless of the order of `kinds`; each family
-    draws from its own substream of `seed`.
+    `EnsembleKind` order, and family i draws from `seed.split(i)`.
     """
     traffic = _traffic(y)
     m = traffic.y.shape[0]
     rank = _check_rank(rank, m)
-    kinds = _check_kinds(kinds)
     seed = _check_seed(seed)
     moments = traffic.moments(center)
     return (_range_model(ensemble_matrix(kind, m, m, seed.split(index)), 1, moments, rank,
                          METHOD_SSPBAD, ensemble=kind)
-            for index, kind in enumerate(EnsembleKind) if kind in kinds)
+            for index, kind in enumerate(EnsembleKind))
 
 
 def project(model: SubspaceModel, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -527,19 +512,17 @@ def detect_method(
     *,
     beta: float = DEFAULT_BETA,
     power_exponent: int = DEFAULT_POWER_EXPONENT,
-    kinds: Iterable[EnsembleKind] | None = None,
     center: bool = False,
 ) -> list[DetectionReport]:
     """One report per rank of `ranks`, in order: build the method's models
-    once (one for pca and rbad, one per ensemble for sspbad; pca is always
-    centered and draws nothing from `seed`), run `detect_ranks` on each and
-    keep the `sspbad_select` winner rank by rank."""
+    once (one for pca and rbad, one for each of the four ensemble families
+    for sspbad; pca is always centered and draws nothing from `seed`), run
+    `detect_ranks` on each and keep the `sspbad_select` winner rank by rank."""
     beta = _check_beta(beta)
     ranks = _check_items("ranks", ranks)
     _check_method(method)
     # checked for pca too, which ignores them
     power_exponent = _check_int("power_exponent", power_exponent, 0)
-    kinds = _check_kinds(kinds)
     seed = _check_seed(seed)
     center = _check_bool("center", center)
     traffic = _traffic(y)
@@ -549,7 +532,7 @@ def detect_method(
     elif method == METHOD_RBAD:
         models = [build_rbad_model(traffic, ranks[0], seed, power_exponent, center)]
     else:  # built one at a time, each dropped once detected
-        models = build_sspbad_candidates(traffic, ranks[0], seed, kinds, center)
+        models = build_sspbad_candidates(traffic, ranks[0], seed, center)
     # unlike a loop variable, map holds no model while the next one is built
     per_model = list(map(functools.partial(detect_ranks, y=traffic, ranks=ranks, beta=beta),
                          models))

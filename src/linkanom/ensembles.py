@@ -89,19 +89,6 @@ class EnsembleKind(enum.Enum):
     MARKOV = "markov-column-stochastic"
     RADEMACHER = "rademacher"
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "EnsembleKind":
-        if not isinstance(tag, str):
-            raise ValueError(f"tag must be a string, got {tag!r}")
-        tag = tag.strip().lower()
-        if tag == "markov":  # accepted shorthand
-            return cls.MARKOV
-        for kind in cls:
-            if kind.value == tag:
-                return kind
-        known = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown ensemble kind {tag!r}; expected one of: {known}")
-
 
 @dataclass(frozen=True)
 class SeedSpec:

@@ -11,7 +11,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .detectors import (
     METHOD_SSPBAD,
     DetectionReport,
     _check_beta,
-    _check_kinds,
     _check_method,
     _check_rank,
     _Traffic,
@@ -32,7 +31,7 @@ from .detectors import (
     build_sspbad_candidates,
     detect_method,
 )
-from .ensembles import EnsembleKind, SeedSpec, _check_bool, _check_int, _check_items, _check_seed
+from .ensembles import SeedSpec, _check_bool, _check_int, _check_items, _check_seed
 from .linalg import _as_labels
 from .traffic import ScenarioConfig, assemble_scenario
 
@@ -141,7 +140,6 @@ def variance_compare(
     rank: int,
     seed: SeedSpec,
     power_exponent: int = DEFAULT_POWER_EXPONENT,
-    kinds: Iterable[EnsembleKind] | None = None,
 ) -> VarianceTable:
     """Tabulate the captured-variance sequences of every method on the same
     traffic, all in centered mode so the randomized bases are directly
@@ -153,7 +151,6 @@ def variance_compare(
     deviations undefined: the traffic has fewer than `rank` directions of
     variance.
     """
-    kinds = _check_kinds(kinds)
     seed = _check_seed(seed)
     traffic = _Traffic(y)
     pca = build_pca_model(traffic, rank)
@@ -165,7 +162,7 @@ def variance_compare(
             f"{zero[0] + 1} of {rank} (counting from 1) is {reference[zero[0]]:.3g}, numerically zero"
         )
     rbad = build_rbad_model(traffic, rank, seed.split(_RBAD_STREAM), power_exponent, center=True)
-    candidates = build_sspbad_candidates(traffic, rank, seed.split(_SSPBAD_STREAM), kinds, center=True)
+    candidates = build_sspbad_candidates(traffic, rank, seed.split(_SSPBAD_STREAM), center=True)
     columns: dict[str, np.ndarray] = {METHOD_PCA: pca.variances, METHOD_RBAD: rbad.variances}
     for model in candidates:
         columns[f"{METHOD_SSPBAD}-{model.ensemble.value}"] = model.variances
@@ -238,7 +235,6 @@ def _run_trial(
     rank_grid: Sequence[int],
     beta: float,
     power_exponent: int,
-    kinds: tuple[EnsembleKind, ...],
     center: bool,
 ) -> list[MetricRow]:
     trial_seed = replace(cfg.seed, stream_index=cfg.seed.stream_index + trial)
@@ -251,7 +247,7 @@ def _run_trial(
     for method in methods:
         seed = trial_seed.split(_DETECTOR_STREAMS.get(method, _RBAD_STREAM))
         reports = detect_method(method, traffic, rank_grid, seed, beta=beta,
-                                power_exponent=power_exponent, kinds=kinds, center=center)
+                                power_exponent=power_exponent, center=center)
         for rank, report in zip(rank_grid, reports):
             counts = score(report, labels)
             rows.append(
@@ -275,7 +271,6 @@ def sweep_rank(
     trials: int,
     beta: float = DEFAULT_BETA,
     power_exponent: int = DEFAULT_POWER_EXPONENT,
-    kinds: Iterable[EnsembleKind] | None = None,
     center: bool = False,
     workers: int = 1,
 ) -> tuple[list[MetricRow], list[SweepCurve]]:
@@ -283,9 +278,9 @@ def sweep_rank(
     independently seeded trials.
 
     Trial i draws its scenario from stream cfg.seed.stream_index + i, so
-    the sweep is fully determined by (cfg, methods, rank_grid, trials,
-    beta, power_exponent, kinds, center). The trials run on a pool of at
-    most min(workers, trials) threads, and no emitted number depends on
+    the sweep is fully determined by (cfg, methods, rank_grid, trials, beta,
+    power_exponent, center). The trials run on a pool of at most
+    min(workers, trials) threads, and no emitted number depends on
     `workers`, because rows are reduced in trial order. Rows come one
     (method, rank) point at a time, methods and ranks in the order given
     and trials ascending within a point; the curves follow the same order.
@@ -311,11 +306,10 @@ def sweep_rank(
     power_exponent = _check_int("power_exponent", power_exponent, 0)
     trials = _check_int("trials", trials, 1)
     workers = _check_int("workers", workers, 1)
-    kinds = _check_kinds(kinds)  # a tuple: every trial reads it
     center = _check_bool("center", center)
 
     def run(trial: int) -> list[MetricRow]:
-        return _run_trial(cfg, trial, methods, rank_grid, beta, power_exponent, kinds, center)
+        return _run_trial(cfg, trial, methods, rank_grid, beta, power_exponent, center)
 
     with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
         per_trial = list(pool.map(run, range(trials)))

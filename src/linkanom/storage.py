@@ -228,8 +228,22 @@ def read_labels_csv(path: str | Path) -> np.ndarray:
 
 
 def write_config_file(entries: Mapping[str, object], path: str | Path) -> None:
-    """Flat `key = value` lines in the given order."""
-    _write_lines(Path(path), [f"{key} = {value}\n" for key, value in entries.items()])
+    """Flat `key = value` lines in the given order, each entry one that
+    `read_config_file` reads back as it was given: a key or value text
+    with leading or trailing whitespace or a line break in it, or a key
+    that holds `=` or starts with `#`, raises a ValueError naming the key."""
+    lines = []
+    for key, value in entries.items():
+        key, value = f"{key}", f"{value}"
+        loose = [text != text.strip() or "\n" in text or "\r" in text for text in (key, value)]
+        if loose[0] or "=" in key or key.startswith("#"):
+            raise ValueError(f"config key {key!r} would not read back: it has leading or "
+                             "trailing whitespace, a line break, '=' or a leading '#'")
+        if loose[1]:
+            raise ValueError(f"config value of {key!r} would not read back: {value!r} has "
+                             "leading or trailing whitespace or a line break")
+        lines.append(f"{key} = {value}\n")
+    _write_lines(Path(path), lines)
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:

@@ -11,7 +11,7 @@ import pytest
 
 from linkanom import cli, storage
 from linkanom.cli import main
-from linkanom.ensembles import EnsembleKind, SeedSpec
+from linkanom.ensembles import SeedSpec
 from linkanom.storage import read_config_file, read_matrix_csv
 
 SMALL_ARGS = [
@@ -290,15 +290,6 @@ class TestVariances:
         ]
         assert len(lines) == 1 + 24
 
-    def test_ensemble_subset(self, tmp_path):
-        scen = tmp_path / "scen"
-        assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
-        out = tmp_path / "var"
-        assert main(["variances", "--input", str(scen), "--rank", "6",
-                     "--ensembles", "markov,rademacher", "--output", str(out)]) == 0
-        header = (out / "variances.csv").read_text().splitlines()[0]
-        assert header == "index,pca,rbad,sspbad-markov-column-stochastic,sspbad-rademacher"
-
     def test_y_without_labels_matches_input(self, tmp_path):
         scen = tmp_path / "scen"
         assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
@@ -352,12 +343,39 @@ class TestErrorSurface:
         assert "repeat method 'pca'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_repeated_ensemble(self, tmp_path, capsys):
+    def test_ensembles_flag_is_a_usage_error(self, tmp_path, capsys):
+        # sspbad always switches among the four families; no flag picks a subset
         out = tmp_path / "out"
-        assert main(["sweep", *SMALL_ARGS, "--ensembles", "gaussian,gaussian", "--rank-grid", "4",
-                     "--trials", "1", "--output", str(out)]) == 1
-        assert "kinds repeat ensemble kind 'gaussian'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as rejected:
+            main(["sweep", *SMALL_ARGS, "--ensembles", "gaussian", "--rank-grid", "4",
+                  "--trials", "1", "--output", str(out)])
+        assert rejected.value.code == 2
+        assert "unrecognized arguments: --ensembles gaussian" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ensembles_config_key_is_unknown(self, tmp_path, capsys):
+        # an echo written while the key existed must lose its `ensembles =` line
+        scen = tmp_path / "scen"
+        assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
+        capsys.readouterr()
+        config = tmp_path / "old.echo"
+        config.write_text(f"subcommand = detect\ninput = {scen}\nmethod = sspbad\n"
+                          "ensembles = gaussian,bernoulli-half,markov-column-stochastic,rademacher\n")
+        out = tmp_path / "out"
+        assert main(["detect", "--config", str(config), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown config key 'ensembles' in {config}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [" sp", "sp ", "nl\nx", "cr\rx"])
+    def test_output_that_the_echo_would_not_read_back(self, tmp_path, monkeypatch, capsys, name):
+        # read back, such an echo names another directory or no pair at all
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", *SMALL_ARGS, "--output", name]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config value of 'output' would not read back: {name!r} has leading or "
+            "trailing whitespace or a line break"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args, message", [
         (["detect", "--center", "maybe"], "bad value for center"),
@@ -451,15 +469,15 @@ class TestResolve:
 
         for name in ("detect", "sweep"):
             monkeypatch.setitem(cli._SUBCOMMANDS, name, cli._SUBCOMMANDS[name]._replace(run=record))
-        assert main(["detect", "--input", "scen", "--ensembles", " MARKOV,gaussian",
+        assert main(["detect", "--input", "scen", "--beta", "5e-3",
                      "--output", str(tmp_path / "detect")]) == 0
         assert main(["sweep", "--m", "10", "--t", "30", "--output", str(tmp_path / "sweep")]) == 0
         assert seen["detect"]["method"] == ("pca",)
-        assert seen["detect"]["ensembles"] == (EnsembleKind.MARKOV, EnsembleKind.GAUSSIAN)
+        assert seen["detect"]["beta"] == 0.005
         assert seen["sweep"]["method"] == ("pca", "rbad", "sspbad")
         assert seen["sweep"]["anomaly_count"] == 0  # round(0.001 * 10 * 30)
         echo = read_config_file(tmp_path / "detect" / "config.echo")
-        assert (echo["method"], echo["ensembles"]) == ("pca", "markov-column-stochastic,gaussian")
+        assert (echo["method"], echo["beta"]) == ("pca", "0.005")
 
 
 class TestParser:

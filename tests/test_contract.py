@@ -194,16 +194,12 @@ PARAMETERS = {
     "ensemble_matrix-cols": ("cols", [0],
                              lambda v: ensemble_matrix(EnsembleKind.RADEMACHER, 2, v, _SEED)),
     "ensemble_matrix-seed": ("seed", [7, "7"], lambda v: ensemble_matrix(EnsembleKind.MARKOV, 2, 2, v)),
-    # None raised an AttributeError from None.strip
-    "EnsembleKind.from_tag": ("tag|unknown ensemble kind", ["gauss"], EnsembleKind.from_tag),
     "build_pca_model-rank": ("rank", [0, 6], lambda v: build_pca_model(_Y, v)),
     "build_rbad_model-rank": ("rank", [0, 6], lambda v: build_rbad_model(_Y, v, _SEED)),
     "build_rbad_model-power_exponent": ("power_exponent", [-1],
                                         lambda v: build_rbad_model(_Y, 2, _SEED, v)),
     "build_rbad_model-seed": ("seed", [7, "7"], lambda v: build_rbad_model(_Y, 2, v)),
     "build_sspbad_candidates-rank": ("rank", [0, 6], lambda v: build_sspbad_candidates(_Y, v, _SEED)),
-    "build_sspbad_candidates-kinds": ("kinds", [[], [EnsembleKind.GAUSSIAN] * 2, ["gaussian"]],
-                                      lambda v: build_sspbad_candidates(_Y, 2, _SEED, v)),
     "build_sspbad_candidates-seed": ("seed", [7, "7"], lambda v: build_sspbad_candidates(_Y, 2, v)),
     # each was stored as given and came back in detect_ranks' ModelSummary
     "SubspaceModel-method": ("unknown method", [3, "bogus"], lambda v: _model(method=v)),
@@ -221,8 +217,6 @@ PARAMETERS = {
     "detect_method-beta": ("beta", [0.0, 1.5], lambda v: detect_method("pca", _Y, [2], _SEED, beta=v)),
     "detect_method-power_exponent": ("power_exponent", [-1],
                                      lambda v: detect_method("pca", _Y, [2], _SEED, power_exponent=v)),
-    "detect_method-kinds": ("kinds", [[], ["gaussian"]],
-                            lambda v: detect_method("pca", _Y, [2], _SEED, kinds=v)),
     # pca, which draws nothing, never read it
     **{f"detect_method-{method}-seed": ("seed", [7, "7"],
                                         lambda v, method=method: detect_method(method, _Y, [2], v))
@@ -237,12 +231,9 @@ PARAMETERS = {
     "sweep_rank-workers": ("workers", [0], lambda v: _sweep(workers=v)),
     "sweep_rank-beta": ("beta", [0.0, 1.0], lambda v: _sweep(beta=v)),
     "sweep_rank-power_exponent": ("power_exponent", [-1], lambda v: _sweep(power_exponent=v)),
-    "sweep_rank-kinds": ("kinds", [[], ["gaussian"]], lambda v: _sweep(kinds=v)),
     "variance_compare-rank": ("rank", [0, 6], lambda v: variance_compare(_Y, v, _SEED)),
     "variance_compare-power_exponent": ("power_exponent", [-1],
                                         lambda v: variance_compare(_Y, 2, _SEED, v)),
-    "variance_compare-kinds": ("kinds", [[], ["gaussian"]],
-                               lambda v: variance_compare(_Y, 2, _SEED, kinds=v)),
     "variance_compare-seed": ("seed", [7, "7"], lambda v: variance_compare(_Y, 2, v)),
 }
 
@@ -251,8 +242,7 @@ PARAMETERS = {
 def test_bad_scalars_raise_a_value_error_naming_the_parameter(parameter):
     prefix, out_of_range, call = PARAMETERS[parameter]
     for value in NOT_A_VALUE + out_of_range:
-        if not (value is None and prefix == "kinds"):  # kinds=None is every family
-            _raises_naming(prefix, call, value)
+        _raises_naming(prefix, call, value)
 
 
 # a model whose spectrum or metadata contradicts itself: each was built, and
@@ -319,11 +309,10 @@ def test_bad_switches_raise_a_value_error_naming_the_parameter(parameter):
     lambda: sweep_rank(_config(), ["pca"], 3, 1),
     lambda: sweep_rank(_config(), None, [3], 1),
     lambda: sweep_rank(_config(), "pca", [3], 1),
-    lambda: build_sspbad_candidates(_Y, 2, _SEED, 5),
 ], ids=["detect_ranks", "detect_method", "sweep_rank-rank_grid", "sweep_rank-methods-None",
-        "sweep_rank-methods-str", "build_sspbad_candidates"])
+        "sweep_rank-methods-str"])
 def test_sequences_take_no_scalar_or_string(call):
-    _raises_naming("ranks|rank_grid|methods|kinds", call)
+    _raises_naming("ranks|rank_grid|methods", call)
 
 
 @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int8])
@@ -364,7 +353,6 @@ BAD_TEXT = {
     float: ["x", "nan", "inf", "-1"],
     cli._parse_str_list: ["", "bogus", "pca,"],
     cli._parse_int_list: ["8,x", "", "-1", "2,,3"],  # 2 and 3 are in range at m = 12
-    cli._parse_kinds: ["bogus", ",", "gaussian,gaussian", "gaussian,,markov"],
     cli._parse_bool: ["maybe"],
     cli._parse_path: ["{tmp}/missing"],
 }

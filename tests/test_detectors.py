@@ -37,8 +37,8 @@ from linkanom.detectors import (
     sspbad_detect,
     sspbad_select,
 )
-from linkanom.ensembles import EnsembleKind, SeedSpec
-from linkanom.evaluation import sweep_rank, variance_compare
+from linkanom.ensembles import EnsembleKind, SeedSpec, ensemble_matrix
+from linkanom.evaluation import sweep_rank
 from linkanom.traffic import ScenarioConfig, assemble_scenario
 
 NOISELESS = dataclasses.replace(
@@ -214,7 +214,7 @@ class TestBuildRbadModel:
         total = row_variance(y).sum()
         rbad = build_rbad_model(y, 5, SeedSpec(31))
         assert rbad.variances.sum() == pytest.approx(total, rel=1e-8)
-        [ssp] = build_sspbad_candidates(y, 5, SeedSpec(32), [EnsembleKind.MARKOV])
+        ssp = list(build_sspbad_candidates(y, 5, SeedSpec(32)))[2]
         assert ssp.variances.sum() == pytest.approx(total, rel=1e-8)
 
     def test_residual_energy_nonincreasing_in_rank(self):
@@ -236,20 +236,17 @@ class TestBuildSspbadCandidates:
         assert [m.ensemble for m in models] == list(EnsembleKind)
         assert all(m.method == "sspbad" for m in models)
 
-    def test_subset_keeps_fixed_order(self):
-        rng = np.random.default_rng(7)
-        y = rng.normal(size=(10, 50))
-        models = build_sspbad_candidates(
-            y, 3, SeedSpec(2), [EnsembleKind.RADEMACHER, EnsembleKind.BERNOULLI_HALF]
-        )
-        assert [m.ensemble for m in models] == [EnsembleKind.BERNOULLI_HALF, EnsembleKind.RADEMACHER]
-
-    def test_kind_stream_does_not_depend_on_subset(self):
+    def test_family_i_draws_from_substream_i(self):
         rng = np.random.default_rng(8)
         y = rng.normal(size=(10, 50))
-        [alone] = build_sspbad_candidates(y, 3, SeedSpec(2), [EnsembleKind.MARKOV])
-        among = list(build_sspbad_candidates(y, 3, SeedSpec(2)))[2]
-        np.testing.assert_array_equal(alone.basis, among.basis)
+        seed, moments = SeedSpec(2), detectors._Traffic(y).moments(False)
+        candidates = build_sspbad_candidates(y, 3, seed)
+        for i, (kind, model) in enumerate(zip(EnsembleKind, candidates, strict=True)):
+            want = detectors._range_model(ensemble_matrix(kind, 10, 10, seed.split(i)), 1,
+                                          moments, 3, "sspbad", ensemble=kind)
+            assert model.ensemble is kind
+            np.testing.assert_array_equal(model.basis, want.basis)
+            np.testing.assert_array_equal(model.variances, want.variances)
 
     def test_exact_rank_range_capture_every_kind(self):
         sc = assemble_scenario(NOISELESS)
@@ -265,17 +262,13 @@ class TestBuildSspbadCandidates:
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma.basis, mb.basis)
 
-    def test_empty_kinds_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            build_sspbad_candidates(np.ones((4, 10)), 2, SeedSpec(0), [])
-
     def test_checks_every_argument_before_any_candidate_is_built(self, monkeypatch):
         y = np.random.default_rng(10).normal(size=(10, 50))
         built, real = [], detectors._range_model
         monkeypatch.setattr(detectors, "_range_model",
                             lambda *args, **kwargs: built.append(args) or real(*args, **kwargs))
         for bad in ((y[:, :1], 2, SeedSpec(1)), (y, 10, SeedSpec(1)), (y, 2, 7),
-                    (y, 2, SeedSpec(1), [EnsembleKind.MARKOV] * 2), (y, 2, SeedSpec(1), None, "no")):
+                    (y, 2, SeedSpec(1), "no")):
             with pytest.raises(ValueError):
                 build_sspbad_candidates(*bad)
         candidates = build_sspbad_candidates(y, 2, SeedSpec(1))
@@ -285,68 +278,8 @@ class TestBuildSspbadCandidates:
         assert len(list(candidates)) == 3 and len(built) == 4
 
 
-# ensemble sets that name no valid set of families, and the error each raises
-BAD_KINDS = [
-    pytest.param(["gaussian"], r"^kinds item 'gaussian' is no EnsembleKind; .* EnsembleKind\.from_tag$",
-                 id="tag"),
-    pytest.param([EnsembleKind.GAUSSIAN, "bogus"], r"^kinds item 'bogus' is no EnsembleKind",
-                 id="non-member"),
-    pytest.param([], r"^kinds must be nonempty$", id="empty"),
-    pytest.param([EnsembleKind.GAUSSIAN, EnsembleKind.GAUSSIAN],
-                 r"^kinds repeat ensemble kind 'gaussian'$", id="repeated"),
-]
-
-
 def _no_fit(*args, **kwargs):
     raise AssertionError("a model was fitted")
-
-
-class TestEnsembleSets:
-    """Every entry point that takes `kinds` rejects a bad set by name
-    before it assembles a scenario or fits a model."""
-
-    @pytest.fixture()
-    def y(self):
-        return np.random.default_rng(12).normal(size=(10, 50))
-
-    @pytest.mark.parametrize("kinds, message", BAD_KINDS)
-    def test_builder(self, y, kinds, message):
-        with pytest.raises(ValueError, match=message):
-            build_sspbad_candidates(y, 4, SeedSpec(3), kinds)
-
-    @pytest.mark.parametrize("method", ["pca", "rbad", "sspbad"])
-    @pytest.mark.parametrize("kinds, message", BAD_KINDS)
-    def test_detect_method_before_any_fit(self, y, monkeypatch, method, kinds, message):
-        for name in ("build_pca_model", "build_rbad_model", "build_sspbad_candidates"):
-            monkeypatch.setattr(detectors, name, _no_fit)
-        with pytest.raises(ValueError, match=message):
-            detect_method(method, y, [4, 6], SeedSpec(3), kinds=kinds)
-
-    @pytest.mark.parametrize("kinds, message", BAD_KINDS)
-    def test_sweep_before_any_trial(self, monkeypatch, kinds, message):
-        def assemble(cfg):
-            raise AssertionError("a scenario was assembled")
-
-        monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
-        cfg = ScenarioConfig(m=12, n=24, t=40, r_true=3, anomaly_count=4, seed=SeedSpec(3))
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match=message):
-                sweep_rank(cfg, ["pca", "sspbad"], [4], trials=2, kinds=kinds, workers=workers)
-
-    @pytest.mark.parametrize("kinds, message", BAD_KINDS)
-    def test_variance_compare_before_any_fit(self, y, monkeypatch, kinds, message):
-        for name in ("build_pca_model", "build_rbad_model", "build_sspbad_candidates"):
-            monkeypatch.setattr(evaluation, name, _no_fit)
-        with pytest.raises(ValueError, match=message):
-            variance_compare(y, 4, SeedSpec(3), kinds=kinds)
-
-    def test_order_of_a_valid_set_is_immaterial(self, y):
-        kinds = [EnsembleKind.RADEMACHER, EnsembleKind.GAUSSIAN]
-        want = detect_method("sspbad", y, [4, 6], SeedSpec(3), kinds=kinds[::-1])
-        got = detect_method("sspbad", y, [4, 6], SeedSpec(3), kinds=iter(kinds))
-        for a, b in zip(got, want):
-            assert a.model_summary == b.model_summary
-            np.testing.assert_array_equal(a.spe, b.spe)
 
 
 # values of beta that admit no threshold, and the error each raises
@@ -470,7 +403,7 @@ class TestProject:
         for model in (
             build_pca_model(y, 5),
             build_rbad_model(y, 5, SeedSpec(3)),
-            *build_sspbad_candidates(y, 5, SeedSpec(4), [EnsembleKind.GAUSSIAN]),
+            next(build_sspbad_candidates(y, 5, SeedSpec(4))),
         ):
             y_hat, y_tilde = project(model, y)
             assert np.linalg.norm(y_hat + y_tilde - y) <= 1e-12 * np.linalg.norm(y)
@@ -947,15 +880,14 @@ class TestSspbadOneCandidateAtATime:
     at a time, with the bits of selecting among all of them built at once."""
 
     @pytest.mark.parametrize("center", [False, True])
-    @pytest.mark.parametrize("kinds", [None, [EnsembleKind.RADEMACHER, EnsembleKind.GAUSSIAN]])
-    def test_same_reports_as_all_candidates_at_once(self, center, kinds):
+    def test_same_reports_as_all_candidates_at_once(self, center):
         sc = assemble_scenario(ScenarioConfig(seed=SeedSpec(607)))
         seed = SeedSpec(608)
-        candidates = build_sspbad_candidates(sc.y, 8, seed, kinds, center)
+        candidates = build_sspbad_candidates(sc.y, 8, seed, center)
         per_candidate = [detect_ranks(c, sc.y, REFERENCE_GRID) for c in candidates]
         want = [sspbad_select(at_rank) for at_rank in zip(*per_candidate)]
         _assert_same_reports(
-            detect_method("sspbad", sc.y, REFERENCE_GRID, seed, kinds=kinds, center=center), want
+            detect_method("sspbad", sc.y, REFERENCE_GRID, seed, center=center), want
         )
 
     def test_one_candidate_basis_alive_at_a_time(self, monkeypatch):

@@ -155,12 +155,6 @@ class TestEnsembleKind:
             "rademacher",
         ]
 
-    def test_from_tag_with_alias(self):
-        assert EnsembleKind.from_tag("markov") is EnsembleKind.MARKOV
-        assert EnsembleKind.from_tag("GAUSSIAN") is EnsembleKind.GAUSSIAN
-        with pytest.raises(ValueError, match="unknown ensemble"):
-            EnsembleKind.from_tag("cauchy")
-
     def test_dispatch_satisfies_defining_constraints(self):
         for kind in EnsembleKind:
             sample = ensemble_matrix(kind, 31, 29, SEED)

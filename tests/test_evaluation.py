@@ -322,12 +322,6 @@ class TestSweepRank:
             with pytest.raises(ValueError, match="^power_exponent must be"):
                 sweep_rank(SMALL, [method], [6], trials=2, power_exponent=value, workers=2)
 
-    def test_kinds_may_be_a_generator(self):
-        kinds = [k for k in EnsembleKind if k is not EnsembleKind.MARKOV]
-        want, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=kinds)
-        got, _ = sweep_rank(SMALL, ["sspbad"], [4], trials=3, kinds=(k for k in kinds))
-        assert got == want
-
     @pytest.mark.parametrize("trials, workers", [(2, 4), (6, 3), (3, 1)])
     def test_pool_runs_at_most_min_of_workers_and_trials(self, monkeypatch, trials, workers):
         # the pool starts a thread per submitted trial, up to `workers`;
@@ -345,7 +339,7 @@ class TestTrialWorkingSet:
     """One sweep trial reduces Y once for every method and holds only Y
     and the labels while it fits."""
 
-    ARGS = (["pca", "rbad", "sspbad"], [4, 8], 0.005, 2, None)
+    ARGS = (["pca", "rbad", "sspbad"], [4, 8], 0.005, 2)
 
     @pytest.mark.parametrize("center", [False, True])
     def test_one_reduction_per_trial(self, monkeypatch, center):
@@ -404,7 +398,7 @@ class TestTrialWorkingSet:
     def test_rows_equal_per_method_detection(self, master_seed):
         cfg = ScenarioConfig(seed=SeedSpec(master_seed))
         methods, grid = ["pca", "rbad", "sspbad"], [8, 16, 24, 32, 48, 64]
-        got = evaluation._run_trial(cfg, 1, methods, grid, 0.005, 2, None, False)
+        got = evaluation._run_trial(cfg, 1, methods, grid, 0.005, 2, False)
         trial_seed = SeedSpec(master_seed, 1)
         scenario = assemble_scenario(dataclasses.replace(cfg, seed=trial_seed))
         want = []

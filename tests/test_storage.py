@@ -243,6 +243,31 @@ class TestConfigFile:
         write_config_file({"m": 120, "beta": 0.005, "method": "pca"}, path)
         assert read_config_file(path) == {"m": "120", "beta": "0.005", "method": "pca"}
 
+    def test_inner_blanks_and_equals_signs_round_trip(self, tmp_path):
+        path = tmp_path / "run.echo"
+        entries = {"output": "a  b", "input": "x = y", "y": "z\u2028z"}
+        write_config_file(entries, path)
+        assert read_config_file(path) == entries
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"output": " sp"}, r"^config value of 'output' would not read back: ' sp' has leading"),
+        ({"output": "sp\t"}, "^config value of 'output'"),
+        ({"output": "a\u2028"}, "^config value of 'output'"),
+        ({"output": "nl\nx"}, r"^config value of 'output' .* or a line break$"),
+        ({"output": "cr\rx"}, "^config value of 'output'"),
+        ({" m": 7}, "^config key ' m' would not read back"),
+        ({"m\n2": 7}, r"^config key 'm\\n2'"),
+        ({"a=b": 7}, r"^config key 'a=b' would not read back: it has leading or trailing "
+                     r"whitespace, a line break, '=' or a leading '#'$"),
+        ({"#m": 7}, "^config key '#m'"),
+    ], ids=["value-space", "value-tab", "value-u2028", "value-lf", "value-cr", "key-space",
+            "key-lf", "key-equals", "key-hash"])
+    def test_entry_that_would_not_read_back(self, tmp_path, entries, message):
+        # the file would read back as other entries, or fail to read
+        with pytest.raises(ValueError, match=message):
+            write_config_file({"m": 7, **entries}, tmp_path / "run.echo")
+        assert list(tmp_path.iterdir()) == []
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# comment\n\nm = 7\n")
