@@ -32,7 +32,6 @@ from .ensembles import SeedSpec
 from .evaluation import sweep_rank, variance_compare
 from .storage import (
     _all_or_none,
-    _read_traffic,
     read_config_file,
     read_scenario,
     write_config_file,
@@ -107,9 +106,7 @@ _FIELDS = [
     _Field("trials", int, 20, "number of sweep trials"),
     _Field("workers", int, 1, "parallel trial workers"),
     _Field("center", _parse_bool, False, "center traffic rows in rbad/sspbad models"),
-    _Field("input", _parse_path, None, "scenario directory to read"),
-    _Field("y", _parse_path, None, "traffic matrix CSV (alternative to --input)"),
-    _Field("labels", _parse_path, None, "labels CSV (alternative to --input)"),
+    _Field("input", _parse_path, None, "scenario directory: Y.csv, and labels.csv for detect"),
     _Field("output", _parse_path, ".", "output directory"),
 ]
 _FIELD_MAP = {field.name: field for field in _FIELDS}
@@ -159,10 +156,6 @@ def _resolve(args: argparse.Namespace) -> Mapping[str, Any]:
                 raise ValueError(f"bad value for {field_name}: {exc}") from None
     if "anomaly_count" in resolved and resolved["anomaly_count"] is None:
         resolved["anomaly_count"] = default_anomaly_count(resolved["m"], resolved["t"])
-    sources = [key for key in ("input", "y", "labels") if resolved.get(key)]
-    if sources[:1] == ["input"] and len(sources) > 1:
-        raise ValueError(f"input and {sources[1]} both name the traffic: give input, "
-                         "or y (with labels)")
     return MappingProxyType(resolved)
 
 
@@ -188,13 +181,9 @@ def _scenario_config(cfg: Mapping[str, Any]) -> ScenarioConfig:
 
 
 def _load_traffic(cfg: Mapping[str, Any], need_labels: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    if cfg.get("input"):
-        return read_scenario(cfg["input"], labels=need_labels)
-    if cfg.get("y"):
-        if need_labels and not cfg.get("labels"):
-            raise ValueError("--y requires --labels (or use --input with a scenario directory)")
-        return _read_traffic(cfg["y"], cfg.get("labels") or None)
-    raise ValueError("no input given: pass --input SCENARIO_DIR or --y MATRIX_CSV")
+    if not cfg["input"]:
+        raise ValueError("no input given: pass --input SCENARIO_DIR")
+    return read_scenario(cfg["input"], labels=need_labels)
 
 
 def _cmd_generate(cfg: Mapping[str, Any], out: Path) -> None:
@@ -275,7 +264,7 @@ _SUBCOMMANDS = {
     "generate": _Subcommand(_cmd_generate, "generate a synthetic traffic scenario directory",
                             (*_SCENARIO_FIELDS, "output")),
     "detect": _Subcommand(_cmd_detect, "flag anomalous snapshots in a scenario",
-                          ("input", "y", "labels", "method", "rank", "power_exponent", "beta",
+                          ("input", "method", "rank", "power_exponent", "beta",
                            "center", "master_seed", "stream_index", "output"),
                           {"method": (METHOD_PCA,)}),
     "sweep": _Subcommand(_cmd_sweep, "detection rate vs. normal-subspace rank over many trials",
@@ -284,7 +273,7 @@ _SUBCOMMANDS = {
                          {"method": METHODS}),
     "variances": _Subcommand(_cmd_variances,
                              "captured-variance table for all methods on one scenario",
-                             ("input", "y", "rank", "power_exponent", "master_seed",
+                             ("input", "rank", "power_exponent", "master_seed",
                               "stream_index", "output")),
 }
 
@@ -295,11 +284,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         out = Path(cfg["output"])
-        # a failed run leaves the file system as it found it
+        # a failed run leaves the file system as it found it; the echo is
+        # staged first, so one that would not read back fails before any work
         with _all_or_none(out):
-            _SUBCOMMANDS[args.subcommand].run(cfg, out)
             echo = {key: _echo_value(value) for key, value in cfg.items() if value is not None}
             write_config_file(echo, out / "config.echo")
+            _SUBCOMMANDS[args.subcommand].run(cfg, out)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -289,25 +289,18 @@ def write_scenario(scenario: Scenario, directory: str | Path) -> None:
         write_labels_csv(scenario.labels, directory / "labels.csv")
 
 
-def _read_traffic(y_path: str | Path, labels_path: str | Path | None
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
-    """A traffic matrix CSV and, when labels_path is given, its labels,
-    which must number one per snapshot."""
-    y = read_matrix_csv(y_path)
-    if labels_path is None:
-        return y, None
-    labels = read_labels_csv(labels_path)
-    if labels.shape[0] != y.shape[1]:
-        raise ValueError(
-            f"{labels_path}: {labels.shape[0]} labels do not match {y.shape[1]} snapshots"
-        )
-    return y, labels
-
-
 def read_scenario(directory: str | Path, labels: bool = True
                   ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read back the traffic matrix and labels of a scenario directory;
-    with labels=False only the traffic matrix is read, and None stands
-    for the labels."""
+    """Read back the traffic matrix and labels of a scenario directory,
+    which must number one label per snapshot; with labels=False only the
+    traffic matrix is read, and None stands for the labels."""
     directory = Path(directory)
-    return _read_traffic(directory / "Y.csv", directory / "labels.csv" if labels else None)
+    y = read_matrix_csv(directory / "Y.csv")
+    if not labels:
+        return y, None
+    labels_path = directory / "labels.csv"
+    truth = read_labels_csv(labels_path)
+    if truth.shape[0] != y.shape[1]:
+        raise ValueError(f"{labels_path}: {truth.shape[0]} labels do not match "
+                         f"{y.shape[1]} snapshots")
+    return y, truth

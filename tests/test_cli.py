@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from linkanom import cli, storage
+from linkanom import cli, evaluation, storage
 from linkanom.cli import main
 from linkanom.ensembles import SeedSpec
 from linkanom.storage import read_config_file, read_matrix_csv
@@ -85,7 +85,7 @@ class TestGenerate:
         monkeypatch.setattr(storage, "_matrix_lines", failing_matrix_lines)
         assert main(["generate", *SMALL_ARGS, "--output", str(out)]) == 1
         assert "No space left" in capsys.readouterr().err
-        assert staged[-1] == ["R.csv.tmp", "U.csv.tmp", "Y.csv.tmp"]
+        assert staged[-1] == ["R.csv.tmp", "U.csv.tmp", "Y.csv.tmp", "config.echo.tmp"]
         assert not out.exists()
 
     @pytest.mark.parametrize("variance", ["nan", "inf", "-inf"])
@@ -147,13 +147,6 @@ class TestDetect:
         assert main([*base, "--center", "true", "--output", str(centered)]) == 0
         assert read_config_file(centered / "config.echo")["center"] == "True"
         assert (plain / "report.csv").read_text() != (centered / "report.csv").read_text()
-
-    def test_y_and_labels_inputs(self, scenario_dir, tmp_path):
-        out = tmp_path / "rep"
-        assert main(["detect", "--y", str(scenario_dir / "Y.csv"),
-                     "--labels", str(scenario_dir / "labels.csv"),
-                     "--method", "pca", "--rank", "6", "--output", str(out)]) == 0
-        assert (out / "report.csv").exists()
 
     def test_missing_input_fails(self, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -290,16 +283,6 @@ class TestVariances:
         ]
         assert len(lines) == 1 + 24
 
-    def test_y_without_labels_matches_input(self, tmp_path):
-        scen = tmp_path / "scen"
-        assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
-        by_dir, by_y = tmp_path / "dir", tmp_path / "y"
-        assert main(["variances", "--input", str(scen), "--rank", "6",
-                     "--output", str(by_dir)]) == 0
-        assert main(["variances", "--y", str(scen / "Y.csv"), "--rank", "6",
-                     "--output", str(by_y)]) == 0
-        assert (by_dir / "variances.csv").read_bytes() == (by_y / "variances.csv").read_bytes()
-
     def test_input_reads_only_the_traffic(self, tmp_path):
         # the table never uses labels, so a scenario without them will do
         scen = tmp_path / "scen"
@@ -353,6 +336,31 @@ class TestErrorSurface:
         assert "unrecognized arguments: --ensembles gaussian" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--y", "--labels"])
+    def test_traffic_file_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # --input DIR is the one traffic source
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as rejected:
+            main(["detect", "--input", "scen", flag, "scen/file.csv", "--output", str(out)])
+        assert rejected.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert f"unrecognized arguments: {flag} scen/file.csv" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["y", "labels"])
+    def test_traffic_file_config_keys_are_unknown(self, tmp_path, capsys, key):
+        # an echo written while y and labels were keys must lose those lines
+        config = tmp_path / "old.echo"
+        config.write_text(f"subcommand = detect\n{key} = scen/file.csv\nmethod = pca\n")
+        out = tmp_path / "out"
+        assert main(["detect", "--config", str(config), "--input", "scen",
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown config key {key!r} in {config}"]
+        assert not out.exists()
+
     def test_ensembles_config_key_is_unknown(self, tmp_path, capsys):
         # an echo written while the key existed must lose its `ensembles =` line
         scen = tmp_path / "scen"
@@ -372,15 +380,35 @@ class TestErrorSurface:
         # read back, such an echo names another directory or no pair at all
         monkeypatch.chdir(tmp_path)
         assert main(["generate", *SMALL_ARGS, "--output", name]) == 1
-        assert capsys.readouterr().err.splitlines() == [
+        captured = capsys.readouterr()
+        # the echo is checked before the run, so no scenario is made or reported
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
             f"error: config value of 'output' would not read back: {name!r} has leading or "
+            "trailing whitespace or a line break"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_whose_echo_would_not_read_back_runs_no_trial(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def assemble(config):
+            raise AssertionError("a trial ran before the echo was checked")
+
+        monkeypatch.setattr(evaluation, "assemble_scenario", assemble)
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", *SMALL_ARGS, "--rank-grid", "4", "--trials", "2",
+                     "--output", "sp "]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: config value of 'output' would not read back: 'sp ' has leading or "
             "trailing whitespace or a line break"]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args, message", [
         (["detect", "--center", "maybe"], "bad value for center"),
         (["sweep", "--trials", "x"], "bad value for trials"),
-        (["detect", "--y", "{scen}/Y.csv"], "--y requires --labels"),
+        (["variances", "--input", "{tmp}"], "Y.csv"),
         (["detect", "--input", "{scen}", "--method", "pca,rbad"],
          "detect takes exactly one --method"),
         # an empty method list names no method, even where a default exists
@@ -388,11 +416,10 @@ class TestErrorSurface:
         (["sweep", "--method", ""], EMPTY_METHOD),
         (["detect", "--input", "{scen}", "--config", "{tmp}/empty-method.cfg"], EMPTY_METHOD),
         (["sweep", "--config", "{tmp}/empty-method.cfg"], EMPTY_METHOD),
-        # a scenario directory and a traffic file are two traffic sources
-        (["detect", "--input", "{scen}", "--labels", "{scen}/labels.csv"],
-         "input and labels both name the traffic"),
-        (["variances", "--input", "{scen}", "--y", "{scen}/Y.csv"],
-         "input and y both name the traffic"),
+        # --input names a directory with the traffic and one label per snapshot
+        (["detect", "--input", "{tmp}"], "Y.csv"),
+        (["detect", "--input", "{tmp}/short"],
+         "short/labels.csv: 2 labels do not match 90 snapshots"),
         (["detect", "--input", "{scen}", "--config", "{tmp}/repeated-rank.cfg"],
          "key 'rank' is set on line 1 and again on line 2"),
     ])
@@ -401,21 +428,14 @@ class TestErrorSurface:
         assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
         (tmp_path / "empty-method.cfg").write_text("method =\n")
         (tmp_path / "repeated-rank.cfg").write_text("rank = 8\nrank = 3\n")
+        (tmp_path / "short").mkdir()
+        (tmp_path / "short" / "Y.csv").write_bytes((scen / "Y.csv").read_bytes())
+        (tmp_path / "short" / "labels.csv").write_text("1\n0\n")
         out = tmp_path / "out"
         argv = [arg.format(scen=scen, tmp=tmp_path) for arg in args]
         assert main([*argv, "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert not out.exists()
-
-    def test_echo_with_input_and_y_is_an_error(self, tmp_path, capsys):
-        scen, first, out = tmp_path / "scen", tmp_path / "r1", tmp_path / "r2"
-        assert main(["generate", *SMALL_ARGS, "--output", str(scen)]) == 0
-        assert main(["detect", "--input", str(scen), "--rank", "6", "--output", str(first)]) == 0
-        # the echo names input; flags that name other traffic do not replace it
-        assert main(["detect", "--config", str(first / "config.echo"), "--y", str(scen / "Y.csv"),
-                     "--labels", str(scen / "labels.csv"), "--output", str(out)]) == 1
-        assert "error: input and y both name the traffic" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rank_needs_two_links(self, tmp_path, capsys):
@@ -456,6 +476,23 @@ class TestLocale:
                         "--rank", "2"], env)
         assert proc.returncode == 0, proc.stderr
         assert (scen / "report.csv").exists()
+
+    def test_echo_rerun_under_an_ascii_locale_reads_the_same_paths(self, tmp_path):
+        # the echo holds the path as UTF-8 text, which an ASCII locale cannot
+        # encode: `_parse_path` turns it back into the bytes it names
+        utf8 = {**os.environ, "PYTHONUTF8": "1"}
+        ascii_only = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                      "LC_ALL": "C", "LANG": "C"}
+        scen, first, again = tmp_path / "café", tmp_path / "d1", tmp_path / "d2"
+        for args, env in (
+            (["generate", "--m", "12", "--n", "24", "--t", "40", "--output", str(scen)], utf8),
+            (["detect", "--input", str(scen), "--rank", "2", "--output", str(first)], utf8),
+            (["detect", "--config", str(first / "config.echo"), "--output", str(again)],
+             ascii_only),
+        ):
+            proc = run_cli(args, env)
+            assert proc.returncode == 0, proc.stderr
+        assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
 
 
 class TestResolve:

@@ -358,19 +358,13 @@ BAD_TEXT = {
 }
 
 
-def _base_argv(subcommand: str, field: str) -> list[str]:
-    """A run of `subcommand` that succeeds, given traffic other than by the
-    field under test."""
+def _base_argv(subcommand: str) -> list[str]:
+    """A run of `subcommand` that succeeds; the field under test follows it,
+    so its flag wins (a bad `--input` replaces the good one)."""
     if subcommand in ("generate", "sweep"):
         extra = ["--method", "pca", "--rank-grid", "2", "--trials", "1"] if subcommand == "sweep" else []
         return [subcommand, *_SMALL_ARGV, *extra]
-    rank = ["--rank", "2"]
-    if field == "labels":
-        return [subcommand, "--y", "{scen}/Y.csv", *rank]
-    if field == "y":
-        labels = ["--labels", "{scen}/labels.csv"] if subcommand == "detect" else []
-        return [subcommand, *rank, *labels]
-    return [subcommand, "--input", "{scen}", *rank]
+    return [subcommand, "--input", "{scen}", "--rank", "2"]
 
 
 CLI_FIELDS = [
@@ -405,7 +399,7 @@ def _fails_cleanly(argv, tmp_path, scenario_dir, capsys) -> str:
 
 @pytest.mark.parametrize("subcommand, field, text", CLI_FIELDS)
 def test_cli_bad_field_value_exits_1(tmp_path, scenario_dir, capsys, subcommand, field, text):
-    argv = [*_base_argv(subcommand, field), "--" + field.replace("_", "-"), text]
+    argv = [*_base_argv(subcommand), "--" + field.replace("_", "-"), text]
     _fails_cleanly(argv, tmp_path, scenario_dir, capsys)
 
 
@@ -413,9 +407,9 @@ def test_cli_bad_field_value_exits_1(tmp_path, scenario_dir, capsys, subcommand,
     (["generate", "--config", "{tmp}/missing.cfg"], "missing.cfg"),
     (["generate", "--config", "{tmp}/unknown.cfg"], "unknown config key 'turbo'"),
     (["generate", "--config", "{tmp}/repeated.cfg"], "key 'm' is set on line 1 and again on line 2"),
-    (["detect", "--input", "{scen}", "--y", "{scen}/Y.csv"], "input and y both name the traffic"),
-    (["variances", "--input", "{scen}", "--y", "{scen}/Y.csv"], "input and y both name the traffic"),
-], ids=["missing-config", "unknown-key", "repeated-key", "two-sources-detect", "two-sources-variances"])
+    (["detect"], "no input given: pass --input SCENARIO_DIR"),
+    (["variances"], "no input given: pass --input SCENARIO_DIR"),
+], ids=["missing-config", "unknown-key", "repeated-key", "no-source-detect", "no-source-variances"])
 def test_cli_bad_config_and_sources_exit_1(tmp_path, scenario_dir, capsys, argv, message):
     (tmp_path / "unknown.cfg").write_text("turbo = yes\n")
     (tmp_path / "repeated.cfg").write_text("m = 8\nm = 9\n")

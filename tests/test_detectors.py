@@ -499,6 +499,13 @@ class TestQThreshold:
             with pytest.raises(DegenerateSpectrumError, match="degenerate"):
                 q_threshold(variances, rank, 0.005)
 
+    def test_numerically_zero_h0_errors(self):
+        # residual {1, 0.001003... x 500}: 2*theta1*theta3 and 3*theta2^2 agree
+        # to roundoff, so h0 = 1 - their ratio is about -5e-14
+        with pytest.raises(DegenerateSpectrumError, match="^degenerate residual spectrum: "
+                           "h0 is numerically zero$"):
+            q_threshold([100.0, 1.0] + [0.001003017375518525] * 500, 1, 0.005)
+
     def test_homogeneity_in_variance_scale(self):
         variances = np.array([4.0, 2.5, 1.0, 0.5, 0.25, 0.1])
         base = q_threshold(variances, 2, 0.005).q_beta
