@@ -45,7 +45,6 @@ from .evaluation import (
     true_positive_rate,
     variance_compare,
 )
-from .linalg import householder_qr, sym_eig
 from .storage import read_matrix_csv, write_matrix_csv
 from .traffic import (
     Scenario,

@@ -30,6 +30,7 @@ from .detectors import (
 )
 from .ensembles import SeedSpec
 from .evaluation import sweep_rank, variance_compare
+from .linalg import _ONE_BLAS_THREAD
 from .storage import (
     _all_or_none,
     read_config_file,
@@ -289,7 +290,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         with _all_or_none(out):
             echo = {key: _echo_value(value) for key, value in cfg.items() if value is not None}
             write_config_file(echo, out / "config.echo")
-            _SUBCOMMANDS[args.subcommand].run(cfg, out)
+            # one BLAS thread, so no output byte depends on the core count
+            with _ONE_BLAS_THREAD:
+                _SUBCOMMANDS[args.subcommand].run(cfg, out)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

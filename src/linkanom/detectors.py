@@ -36,7 +36,7 @@ from .ensembles import (
     ensemble_matrix,
     gen_gaussian,
 )
-from .linalg import _as_matrix, householder_qr, sym_eig
+from .linalg import _ONE_BLAS_THREAD, _as_matrix
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -247,7 +247,7 @@ def _range_model(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             b = moments.second @ b
-        basis, _ = householder_qr(_finite(b, "power-step block"))
+        basis, _ = np.linalg.qr(_finite(b, "power-step block"))
         variances = np.sum(basis * (moments.covariance @ basis), axis=0)
     order = np.argsort(-variances, kind="stable")
     return SubspaceModel(
@@ -268,10 +268,11 @@ def build_pca_model(y: np.ndarray, rank: int) -> SubspaceModel:
     traffic = _traffic(y)
     rank = _check_rank(rank, traffic.y.shape[0])
     moments = traffic.moments(center=True)
-    eigenvalues, eigenvectors = sym_eig(moments.covariance)
+    eigenvalues, eigenvectors = np.linalg.eigh(moments.covariance)
+    order = np.argsort(-eigenvalues, kind="stable")
     return SubspaceModel(
-        basis=eigenvectors,
-        variances=eigenvalues,
+        basis=eigenvectors[:, order],
+        variances=eigenvalues[order],
         rank=rank,
         method=METHOD_PCA,
         mean=moments.mean,
@@ -517,7 +518,9 @@ def detect_method(
     """One report per rank of `ranks`, in order: build the method's models
     once (one for pca and rbad, one for each of the four ensemble families
     for sspbad; pca is always centered and draws nothing from `seed`), run
-    `detect_ranks` on each and keep the `sspbad_select` winner rank by rank."""
+    `detect_ranks` on each and keep the `sspbad_select` winner rank by rank.
+    After the checks, numpy's OpenBLAS is held at one thread
+    (`linalg._ONE_BLAS_THREAD`), so no report depends on the caller's count."""
     beta = _check_beta(beta)
     ranks = _check_items("ranks", ranks)
     _check_method(method)
@@ -527,13 +530,14 @@ def detect_method(
     center = _check_bool("center", center)
     traffic = _traffic(y)
     ranks = [_check_rank(rank, traffic.y.shape[0]) for rank in ranks]
-    if method == METHOD_PCA:
-        models = [build_pca_model(traffic, ranks[0])]
-    elif method == METHOD_RBAD:
-        models = [build_rbad_model(traffic, ranks[0], seed, power_exponent, center)]
-    else:  # built one at a time, each dropped once detected
-        models = build_sspbad_candidates(traffic, ranks[0], seed, center)
-    # unlike a loop variable, map holds no model while the next one is built
-    per_model = list(map(functools.partial(detect_ranks, y=traffic, ranks=ranks, beta=beta),
-                         models))
+    with _ONE_BLAS_THREAD:
+        if method == METHOD_PCA:
+            models = [build_pca_model(traffic, ranks[0])]
+        elif method == METHOD_RBAD:
+            models = [build_rbad_model(traffic, ranks[0], seed, power_exponent, center)]
+        else:  # built one at a time, each dropped once detected
+            models = build_sspbad_candidates(traffic, ranks[0], seed, center)
+        # unlike a loop variable, map holds no model while the next one is built
+        per_model = list(map(functools.partial(detect_ranks, y=traffic, ranks=ranks, beta=beta),
+                             models))
     return [sspbad_select(at_rank) for at_rank in zip(*per_model)]

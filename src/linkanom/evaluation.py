@@ -4,14 +4,10 @@ normal-subspace rank."""
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +28,7 @@ from .detectors import (
     detect_method,
 )
 from .ensembles import SeedSpec, _check_bool, _check_int, _check_items, _check_seed
-from .linalg import _as_labels
+from .linalg import _ONE_BLAS_THREAD, _as_labels
 from .traffic import ScenarioConfig, assemble_scenario
 
 __all__ = [
@@ -144,7 +140,7 @@ def variance_compare(
     """Tabulate the captured-variance sequences of every method on the same
     traffic, all in centered mode so the randomized bases are directly
     comparable with the pca eigenvalues. Every method is fitted from one
-    reduction of the traffic.
+    reduction of the traffic, with numpy's OpenBLAS held at one thread.
 
     Raises ValueError when one of the top `rank` pca eigenvalues is
     numerically zero (at most 1e-12 * lambda_1), which leaves the relative
@@ -153,19 +149,23 @@ def variance_compare(
     """
     seed = _check_seed(seed)
     traffic = _Traffic(y)
-    pca = build_pca_model(traffic, rank)
-    reference = pca.variances[:rank]
-    zero = np.flatnonzero(reference <= 1e-12 * reference[0])
-    if zero.size:
-        raise ValueError(
-            f"rank {rank} exceeds the traffic's directions of variance: pca eigenvalue "
-            f"{zero[0] + 1} of {rank} (counting from 1) is {reference[zero[0]]:.3g}, numerically zero"
-        )
-    rbad = build_rbad_model(traffic, rank, seed.split(_RBAD_STREAM), power_exponent, center=True)
-    candidates = build_sspbad_candidates(traffic, rank, seed.split(_SSPBAD_STREAM), center=True)
-    columns: dict[str, np.ndarray] = {METHOD_PCA: pca.variances, METHOD_RBAD: rbad.variances}
-    for model in candidates:
-        columns[f"{METHOD_SSPBAD}-{model.ensemble.value}"] = model.variances
+    with _ONE_BLAS_THREAD:
+        pca = build_pca_model(traffic, rank)
+        reference = pca.variances[:rank]
+        zero = np.flatnonzero(reference <= 1e-12 * reference[0])
+        if zero.size:
+            raise ValueError(
+                f"rank {rank} exceeds the traffic's directions of variance: pca eigenvalue "
+                f"{zero[0] + 1} of {rank} (counting from 1) is {reference[zero[0]]:.3g}, "
+                "numerically zero"
+            )
+        rbad = build_rbad_model(traffic, rank, seed.split(_RBAD_STREAM), power_exponent,
+                                center=True)
+        candidates = build_sspbad_candidates(traffic, rank, seed.split(_SSPBAD_STREAM),
+                                             center=True)
+        columns: dict[str, np.ndarray] = {METHOD_PCA: pca.variances, METHOD_RBAD: rbad.variances}
+        for model in candidates:
+            columns[f"{METHOD_SSPBAD}-{model.ensemble.value}"] = model.variances
     deviations = {
         name: float(np.max(np.abs(values[:rank] - reference) / reference))
         for name, values in columns.items()
@@ -177,55 +177,6 @@ def variance_compare(
         rank=rank,
         top_rank_deviation=deviations,
     )
-
-
-@functools.cache
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked up
-    by ctypes under numpy.libs; None when no library there exposes them."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-class _OneBlasThread:
-    """Holds OpenBLAS, whose thread count is process-wide, at one thread
-    while any sweep runs; the count from before the first of overlapping
-    sweeps is restored when the last one leaves. A no-op without
-    `_openblas_threads`."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._sweeps = 0
-        self._previous = 1
-
-    def __enter__(self) -> None:
-        found = _openblas_threads()
-        if found is not None:
-            with self._lock:
-                if self._sweeps == 0:
-                    self._previous = found[0]()
-                    found[1](1)
-                self._sweeps += 1
-
-    def __exit__(self, *exc_info) -> None:
-        found = _openblas_threads()
-        if found is not None:
-            with self._lock:
-                self._sweeps -= 1
-                if self._sweeps == 0:
-                    found[1](self._previous)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def _run_trial(

@@ -1,19 +1,19 @@
-"""Dense real-matrix kernels: Householder QR and symmetric
-eigendecomposition (LAPACK through numpy). Column signs are LAPACK's;
-every caller uses a factor only through its span.
-
-All matrices are 2-D, finite float64 numpy arrays. Every function here is
-pure; inputs are never mutated.
+"""The array rules every module applies to what a caller hands in
+(`_as_matrix`, and `_as_labels` for ground truth), and the hold that
+keeps numpy's bundled OpenBLAS at one thread while the package computes
+(`_ONE_BLAS_THREAD`). The factorizations themselves are numpy's
+(`np.linalg.qr`, `np.linalg.eigh`), called where they are used.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import ctypes
+import functools
+import threading
+from pathlib import Path
+from typing import Callable
 
-__all__ = [
-    "householder_qr",
-    "sym_eig",
-]
+import numpy as np
 
 
 def _as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
@@ -48,46 +48,50 @@ def _as_labels(labels) -> np.ndarray:
     return labels == 1.0
 
 
-def householder_qr(b) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization of a tall or square matrix (LAPACK geqrf,
-    Householder reflections, through numpy).
-
-    Returns (q, r) with q (m x n) having orthonormal columns, r (n x n)
-    upper triangular, and q @ r == b up to roundoff; the signs of r's
-    diagonal (and of q's columns) are LAPACK's. Rank-deficient input is
-    allowed and yields near-zero diagonal entries in r.
-    """
-    b = _as_matrix(b, "b")
-    m, n = b.shape
-    if m < n:
-        raise ValueError(f"householder_qr needs rows >= cols, got shape {b.shape}")
-    return np.linalg.qr(b)
-
-
-# relative asymmetry max|s - s^T| / max|s| that sym_eig accepts
-_SYMMETRY_TOL = 1e-10
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked up
+    by ctypes under numpy.libs; None when no library there exposes them."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
-def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix (LAPACK syevd through
-    numpy's eigh).
+class _OneBlasThread:
+    """Holds OpenBLAS, whose thread count is process-wide, at one thread
+    while any holder is inside, so no result depends on the caller's count;
+    the count from before the first of overlapping or nested holders is
+    restored when the last one leaves. A no-op without `_openblas_threads`."""
 
-    Returns (eigenvalues, eigenvectors): eigenvalues sorted descending,
-    column j of eigenvectors paired with eigenvalues[j]. The columns are
-    orthonormal; their signs are LAPACK's.
-    """
-    s = _as_matrix(s, "s")
-    n, n2 = s.shape
-    if n != n2:
-        raise ValueError(f"sym_eig needs a square matrix, got shape {s.shape}")
-    scale = float(np.max(np.abs(s))) if s.size else 0.0
-    if scale > 0.0:
-        asym = float(np.max(np.abs(s - s.T)))
-        if asym > _SYMMETRY_TOL * scale:
-            raise ValueError(
-                f"matrix is not symmetric: max |s - s^T| = {asym:.3e} "
-                f"exceeds {_SYMMETRY_TOL:.0e} * max|s|"
-            )
-    eigenvalues, vectors = np.linalg.eigh(0.5 * (s + s.T))
-    order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], vectors[:, order]
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._previous = 1
+
+    def __enter__(self) -> None:
+        found = _openblas_threads()
+        if found is not None:
+            with self._lock:
+                if self._holders == 0:
+                    self._previous = found[0]()
+                    found[1](1)
+                self._holders += 1
+
+    def __exit__(self, *exc_info) -> None:
+        found = _openblas_threads()
+        if found is not None:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    found[1](self._previous)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()

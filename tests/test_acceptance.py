@@ -30,7 +30,6 @@ from linkanom.evaluation import (
     sweep_rank,
     variance_compare,
 )
-from linkanom.linalg import householder_qr, sym_eig
 from linkanom.traffic import ScenarioConfig, assemble_scenario
 
 REFERENCE = ScenarioConfig()  # m=120, n=240, t=640, r_true=24, density 0.05, s=77, sigma^2=0.1
@@ -128,13 +127,13 @@ def test_criterion_3_variance_comparison_tolerances():
             devs[f"rbad(q={q_exp})"].append(_top_rank_deviation(model.variances, eigenvalues, rank))
         # substreams 6 and 7 are free: the scenario draws from 0-3, the detectors from 4-5
         m = sc.y.shape[0]
-        random_basis, _ = householder_qr(gen_gaussian(m, m, seed.split(6)))
+        random_basis, _ = np.linalg.qr(gen_gaussian(m, m, seed.split(6)))
         centered = sc.y - sc.y.mean(axis=1, keepdims=True)
         devs["random"].append(
             _top_rank_deviation(row_variance(random_basis.T @ centered), eigenvalues, rank)
         )
         # column j of eigenvectors @ rotation captures sum_i rotation_ij^2 lambda_i
-        rotation, _ = householder_qr(gen_gaussian(rank, rank, seed.split(7)))
+        rotation, _ = np.linalg.qr(gen_gaussian(rank, rank, seed.split(7)))
         exact_subspace = (rotation**2).T @ eigenvalues[:rank]
         floor.append(_top_rank_deviation(exact_subspace, eigenvalues, rank))
     medians = [float(np.median(devs[name])) for name, _ in VARIANCE_LADDER]
@@ -296,32 +295,30 @@ def test_criterion_8_sspbad_selection():
 
 def test_criterion_9_complexity_smoke():
     rng = np.random.default_rng(909)
-    inputs = {}
-    for m in (120, 240):
-        b = rng.normal(size=(m, m))
-        g = rng.normal(size=(m, 4 * m))
-        inputs[m] = (b, g @ g.T / (4 * m))
+    traffic = {m: rng.normal(size=(m, 4 * m)) for m in (120, 240)}
+    # each fit reduces the m x 4m traffic and factors an m x m matrix:
+    # pca's eigendecomposition, and the QR of the first sspbad candidate
+    fits = {
+        "build_pca_model": lambda y: build_pca_model(y, 8),
+        "first sspbad candidate": lambda y: next(build_sspbad_candidates(y, 8, SeedSpec(909))),
+    }
     # The two sizes alternate, so drift in machine speed lands on both.
     # Each m=120 sample runs 8 calls, the work of one m=240 call under
     # cubic growth, so both sizes average over spans of the same length.
     times = {}
     for _ in range(5):
         for m, calls in ((120, 8), (240, 1)):
-            b, s = inputs[m]
-            qr_time = _cpu_timed(householder_qr, b, calls)
-            eig_time = _cpu_timed(sym_eig, s, calls)
-            qr_best, eig_best = times.get(m, (math.inf, math.inf))
-            times[m] = (min(qr_best, qr_time), min(eig_best, eig_time))
-    qr_ratio = times[240][0] / times[120][0]
-    eig_ratio = times[240][1] / times[120][1]
-    ok = (
-        times[120][0] < 1.0 and times[120][1] < 1.0 and qr_ratio <= 10.0 and eig_ratio <= 10.0
-    )
+            for name, fit in fits.items():
+                elapsed = _cpu_timed(fit, traffic[m], calls)
+                times[name, m] = min(times.get((name, m), math.inf), elapsed)
+    ratios = {name: times[name, 240] / times[name, 120] for name in fits}
+    ok = all(times[name, 120] < 1.0 and ratios[name] <= 10.0 for name in fits)
     line = _report_line(
         9,
         ok,
-        f"m=120: qr {times[120][0]*1e3:.1f}ms, eig {times[120][1]*1e3:.0f}ms CPU (< 1s); "
-        f"m=240 growth: qr {qr_ratio:.1f}x, eig {eig_ratio:.1f}x (<= 10x)",
+        "m=120: " + ", ".join(f"{name} {times[name, 120]*1e3:.1f}ms" for name in fits)
+        + " CPU (< 1s); m=240 growth: "
+        + ", ".join(f"{name} {ratios[name]:.1f}x" for name in fits) + " (<= 10x)",
     )
     assert ok, line
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from linkanom import cli, evaluation, storage
+from linkanom import cli, evaluation, linalg, storage
 from linkanom.cli import main
 from linkanom.ensembles import SeedSpec
 from linkanom.storage import read_config_file, read_matrix_csv
@@ -493,6 +493,29 @@ class TestLocale:
             proc = run_cli(args, env)
             assert proc.returncode == 0, proc.stderr
         assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
+
+
+@pytest.mark.skipif(linalg._openblas_threads() is None,
+                    reason="no OpenBLAS thread-count symbols in numpy.libs")
+class TestBlasThreadCount:
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        # at this size both (R U) W^T in generate and pca's eigendecomposition
+        # in detect round differently on two OpenBLAS threads than on one
+        written = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            scen, det = tmp_path / f"scen{threads}", tmp_path / f"det{threads}"
+            for args in (
+                ["generate", "--m", "160", "--n", "320", "--t", "853", "--master-seed", "7",
+                 "--output", str(scen)],
+                ["detect", "--input", str(scen), "--method", "pca", "--rank", "24",
+                 "--master-seed", "7", "--output", str(det)],
+            ):
+                proc = run_cli(args, env)
+                assert proc.returncode == 0, proc.stderr
+            written[threads] = ((scen / "Y.csv").read_bytes(), (det / "report.csv").read_bytes())
+        assert written["1"][0] == written["2"][0]
+        assert written["1"][1] == written["2"][1]
 
 
 class TestResolve:

@@ -41,11 +41,9 @@ from linkanom import (
     ensemble_matrix,
     gen_bernoulli,
     gen_gaussian,
-    householder_qr,
     q_threshold,
     score,
     sweep_rank,
-    sym_eig,
     variance_compare,
 )
 from linkanom import cli
@@ -69,8 +67,6 @@ def _model(**fields) -> SubspaceModel:
 
 # (parameter name as the message gives it, expected ndim, call with the bad array)
 CALLABLES = {
-    "householder_qr": ("b", 2, lambda a, path: householder_qr(a)),
-    "sym_eig": ("s", 2, lambda a, path: sym_eig(a)),
     "write_matrix_csv": ("matrix", 2, lambda a, path: write_matrix_csv(a, path / "m.csv")),
     "q_threshold": ("variances", 1, lambda a, path: q_threshold(a, 1, 0.01)),
     "score": ("labels", 1, lambda a, path: score(_report(), a)),

@@ -921,6 +921,55 @@ class TestSspbadOneCandidateAtATime:
         assert alive == [0, 0, 0, 0, 0]
 
 
+class TestFactorizations:
+    """What the fits take from numpy's symmetric eigendecomposition (pca)
+    and QR (rbad, sspbad), checked on the models they return."""
+
+    def test_pca_basis_orthonormal_and_reconstructs_the_covariance(self):
+        y = np.random.default_rng(7).normal(size=(50, 200))
+        model = build_pca_model(y, 10)
+        basis, cov = model.basis, np.cov(y)
+        assert np.max(np.abs(basis.T @ basis - np.eye(50))) <= 1e-12 * 50
+        reconstructed = basis @ np.diag(model.variances) @ basis.T
+        assert np.linalg.norm(reconstructed - cov) <= 1e-9 * np.linalg.norm(cov)
+
+    def test_pca_variances_descend_and_sum_to_the_trace(self):
+        y = np.random.default_rng(8).normal(size=(25, 80))
+        variances = build_pca_model(y, 5).variances
+        trace = np.trace(np.cov(y))
+        assert (np.diff(variances) <= 0.0).all()
+        assert abs(variances.sum() - trace) <= 1e-9 * trace
+
+    def test_rank_deficient_start_block_gives_a_full_orthonormal_basis(self):
+        # noiseless rank-5 traffic: every start block S^q b has rank 5
+        rng = np.random.default_rng(6)
+        y = rng.normal(size=(30, 5)) @ rng.normal(size=(5, 120))
+        models = [build_rbad_model(y, 5, SeedSpec(12)),
+                  *build_sspbad_candidates(y, 5, SeedSpec(13))]
+        for model in models:
+            assert model.basis.shape == (30, 30)
+            assert np.max(np.abs(model.basis.T @ model.basis - np.eye(30))) <= 1e-12 * 30
+
+    @pytest.mark.parametrize("method", ["pca", "rbad", "sspbad"])
+    def test_repeated_fit_is_bit_identical(self, method):
+        y = np.random.default_rng(9).normal(size=(40, 120))
+        fit = {
+            "pca": lambda y: [build_pca_model(y, 8)],
+            "rbad": lambda y: [build_rbad_model(y, 8, SeedSpec(5))],
+            "sspbad": lambda y: build_sspbad_candidates(y, 8, SeedSpec(5)),
+        }[method]
+        for first, second in zip(fit(y), fit(y.copy()), strict=True):
+            np.testing.assert_array_equal(first.basis, second.basis)
+            np.testing.assert_array_equal(first.variances, second.variances)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.int64, np.float32])
+    def test_bool_integer_and_real_traffic_gives_the_float64_model(self, dtype):
+        y = np.random.default_rng(10).integers(0, 2, size=(6, 30))
+        got, want = build_pca_model(y.astype(dtype), 2), build_pca_model(y.astype(float), 2)
+        for field in ("basis", "variances", "mean"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
 class TestBasisSigns:
     """Models are used only through the span of their basis: flipping the
     sign of any basis columns changes no detection or variance bit."""

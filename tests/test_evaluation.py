@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkanom import cli, detectors, evaluation
+from linkanom import cli, detectors, evaluation, linalg
 from linkanom.detectors import DetectionReport, ModelSummary, detect_method
 from linkanom.ensembles import EnsembleKind, SeedSpec
 from linkanom.evaluation import (
@@ -443,13 +443,14 @@ class TestSubstreams:
         assert set(paths) == detector
 
 
-_BLAS_THREADS = evaluation._openblas_threads()
+_BLAS_THREADS = linalg._openblas_threads()
 
 
 @pytest.mark.skipif(_BLAS_THREADS is None, reason="no OpenBLAS thread-count symbols in numpy.libs")
 class TestPoolBlasThreads:
-    """Every sweep, serial or not, holds OpenBLAS at one thread and
-    restores the count."""
+    """Every sweep, serial or not, every `detect_method` and
+    `variance_compare` call and every CLI run holds OpenBLAS at one thread
+    and restores the count."""
 
     @pytest.fixture
     def threads(self):
@@ -482,6 +483,41 @@ class TestPoolBlasThreads:
         with pytest.raises(RuntimeError, match="trial failed"):
             sweep_rank(SMALL, ["pca"], [6], trials=2, workers=workers)
         assert set(seen) == {1}
+        assert get() == threads
+
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("entry", ["detect_method", "variance_compare", "cli.main"])
+    def test_entry_point_holds_one_thread_and_restores(self, monkeypatch, tmp_path, threads,
+                                                       entry, fails):
+        get, _ = _BLAS_THREADS
+        y = assemble_scenario(SMALL).y
+        generate = ["generate", "--m", "12", "--n", "24", "--t", "40", "--output",
+                    str(tmp_path / "scen")]
+        # the entry point, and a call it makes once its inputs are checked
+        module, inner, call = {
+            "detect_method": (detectors, "detect_ranks",
+                              lambda: detect_method("pca", y, [6], SeedSpec(1))),
+            "variance_compare": (evaluation, "build_pca_model",
+                                 lambda: variance_compare(y, 6, SeedSpec(1))),
+            "cli.main": (cli, "assemble_scenario", lambda: cli.main(generate)),
+        }[entry]
+        seen, real = [], getattr(module, inner)
+
+        def watched(*args, **kwargs):
+            seen.append(get())
+            if fails:
+                raise RuntimeError("inner call failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, inner, watched)
+        if entry == "cli.main":  # main reports the error and exits 1
+            assert call() == int(fails)
+        elif fails:
+            with pytest.raises(RuntimeError, match="inner call failed"):
+                call()
+        else:
+            call()
+        assert seen and set(seen) == {1}
         assert get() == threads
 
     def test_overlapping_sweeps_restore_the_count_once(self, monkeypatch, threads):
@@ -520,6 +556,29 @@ class TestPoolBlasThreads:
         assert waited == [True, True]
         assert seen == [1, 1]
         assert get() == threads
+
+
+def test_without_openblas_every_entry_point_still_runs(monkeypatch, tmp_path):
+    # a numpy with no numpy.libs beside it (an OS or conda build) exposes no
+    # thread count to hold, so holding it is a no-op
+    def run():
+        rows, curves = sweep_rank(SMALL, ["pca", "sspbad"], [6], trials=2)
+        return rows, curves, detect_method("rbad", y, [4, 6], SeedSpec(2))
+
+    y = assemble_scenario(SMALL).y
+    want = run()
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    linalg._openblas_threads.cache_clear()
+    try:
+        assert linalg._openblas_threads() is None
+        got = run()
+    finally:
+        monkeypatch.undo()
+        linalg._openblas_threads.cache_clear()
+    assert got[:2] == want[:2]
+    for report, expected in zip(got[2], want[2], strict=True):
+        np.testing.assert_array_equal(report.spe, expected.spe)
+        np.testing.assert_array_equal(report.flags, expected.flags)
 
 
 class TestBenchmarkReferenceRows:
